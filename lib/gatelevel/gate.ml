@@ -52,12 +52,21 @@ let equal a b =
       _ ) ->
     false
 
+(* Direct operand matches: [equal (dagger a) b] without building the
+   dagger — the peephole asks this of every same-qubit candidate. *)
 let cancels a b =
   match a, b with
+  | H p, H q | X p, X q | Y p, Y q | Z p, Z q | S p, Sdg q | Sdg p, S q -> p = q
+  | Rz (t, p), Rz (u, q) | Rx (t, p), Rx (u, q) | Ry (t, p), Ry (u, q) ->
+    p = q && t = -.u
+  | Cnot (a1, b1), Cnot (a2, b2) -> a1 = a2 && b1 = b2
   | Swap (a1, b1), Swap (a2, b2) -> (a1 = a2 && b1 = b2) || (a1 = b2 && b1 = a2)
   | Rxx (t, a1, b1), Rxx (u, a2, b2) ->
     t = -.u && ((a1 = a2 && b1 = b2) || (a1 = b2 && b1 = a2))
-  | _ -> equal (dagger a) b
+  | ( ( H _ | X _ | Y _ | Z _ | S _ | Sdg _ | Rz _ | Rx _ | Ry _ | Cnot _
+      | Swap _ | Rxx _ ),
+      _ ) ->
+    false
 
 (* Diagonal-in-Z gates commute among themselves on any qubits and with CNOT
    controls; X-axis gates commute with CNOT targets. *)
@@ -69,29 +78,37 @@ let x_axis = function
   | X _ | Rx _ | Rxx _ -> true
   | H _ | Y _ | Z _ | S _ | Sdg _ | Rz _ | Ry _ | Cnot _ | Swap _ -> false
 
-let disjoint a b =
-  List.for_all (fun q -> not (List.mem q (qubits b))) (qubits a)
+let touches g q =
+  match g with
+  | H p | X p | Y p | Z p | S p | Sdg p | Rz (_, p) | Rx (_, p) | Ry (_, p) -> p = q
+  | Cnot (a, b) | Swap (a, b) | Rxx (_, a, b) -> a = q || b = q
 
+let disjoint a b =
+  match a with
+  | H q | X q | Y q | Z q | S q | Sdg q | Rz (_, q) | Rx (_, q) | Ry (_, q) ->
+    not (touches b q)
+  | Cnot (p, q) | Swap (p, q) | Rxx (_, p, q) -> not (touches b p || touches b q)
+
+(* Case by case over operands, allocating nothing; the truth table is
+   that of "disjoint, or one of the syntactic commutation rules". *)
 let commutes a b =
-  disjoint a b
-  ||
   match a, b with
   | Cnot (c1, t1), Cnot (c2, t2) -> t1 <> c2 && c1 <> t2
-  | Rxx (_, a1, b1), Rxx (_, a2, b2) ->
+  | Rxx _, Rxx _ ->
     (* both act as X on every shared qubit *)
-    ignore (a1, b1, a2, b2);
     true
-  | (Rxx (_, a, b) as r), Cnot (c, t) | Cnot (c, t), (Rxx (_, a, b) as r) ->
-    ignore r;
+  | Rxx (_, p, q), Cnot (c, _) | Cnot (c, _), Rxx (_, p, q) ->
     (* commutes when the only shared qubit is the CNOT target (X-side) *)
-    c <> a && c <> b && (t = a || t = b)
-  | (Rxx (_, a, b) as r), g | g, (Rxx (_, a, b) as r) ->
-    ignore r;
-    x_axis g && (qubits g = [ a ] || qubits g = [ b ])
+    c <> p && c <> q
+  | Swap _, _ | _, Swap _ -> disjoint a b
+  | Rxx (_, p, q), g | g, Rxx (_, p, q) ->
+    (* [g] is single-qubit from here on *)
+    x_axis g || not (touches g p || touches g q)
   | g, Cnot (c, t) | Cnot (c, t), g ->
-    let qs = qubits g in
-    (diagonal g && qs = [ c ]) || (x_axis g && qs = [ t ])
-  | g, h -> (diagonal g && diagonal h) || (x_axis g && x_axis h && qubits g = qubits h)
+    not (touches g c || touches g t)
+    || (diagonal g && touches g c)
+    || (x_axis g && touches g t)
+  | g, h -> disjoint g h || (diagonal g && diagonal h) || (x_axis g && x_axis h)
 
 let matrix1 g : Cplx.t array =
   let c x : Cplx.t = { re = x; im = 0. } in

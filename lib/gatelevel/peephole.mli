@@ -8,9 +8,16 @@
     (Rz·Rz, Rx·Rx, Ry·Ry on the same qubit) and zero-rotation removal. *)
 
 (** [cancel_once c] performs one left-to-right pass; returns the rewritten
-    circuit and the number of gates removed.  The backward scan follows a
-    chain of live slots, so a pass is O(window · gates) even on
-    cancel-heavy circuits. *)
+    circuit and the number of gates removed.
+
+    The backward scan from the incoming gate at slot [i] reaches a
+    candidate [j] only when at most [window] (default 400) live gates
+    lie in slots [j..i-1], whatever qubits they act on.  Within that
+    reach it visits only the live gates sharing a qubit with the
+    incoming one, through per-qubit chains of live slots: a visit costs
+    O(1), plus an O(log gates) live-count query when [j] lies more than
+    [window] slots back, and placing or removing a gate costs
+    O(log gates). *)
 val cancel_once : ?window:int -> Circuit.t -> Circuit.t * int
 
 (** Telemetry of one {!optimize_stats} run: [removed] equals the

@@ -51,7 +51,8 @@ val circuit_gates_built : id
     swap decomposition and peephole rebuilds alike. *)
 
 val peephole_probes : id
-(** Backward-walk comparison steps performed by cancellation scans. *)
+(** Same-qubit candidates examined by the cancellation scans' backward
+    walks. *)
 
 val peephole_scan_rounds : id
 (** Cancellation sweeps run (to fixpoint, across all stages). *)

@@ -217,6 +217,111 @@ let test_peephole_window_semantics () =
   Alcotest.(check int) "window still bounds live steps" 5
     (Circuit.length (fst (Peephole.cancel_once ~window:2 blocked)))
 
+(* Every gate over qubits {0, 1, 2} — degenerate two-qubit operands
+   included — with angles {0.1, -0.1, 0.2, 0, -0}. *)
+let all_small_gates =
+  let qs = [ 0; 1; 2 ] and angles = [ 0.1; -0.1; 0.2; 0.; -0. ] in
+  let pairs = List.concat_map (fun a -> List.map (fun b -> a, b) qs) qs in
+  List.concat
+    [
+      List.concat_map
+        (fun q -> [ Gate.H q; Gate.X q; Gate.Y q; Gate.Z q; Gate.S q; Gate.Sdg q ])
+        qs;
+      List.concat_map
+        (fun t -> List.concat_map (fun q -> [ Gate.Rz (t, q); Gate.Rx (t, q); Gate.Ry (t, q) ]) qs)
+        angles;
+      List.concat_map (fun (a, b) -> [ Gate.Cnot (a, b); Gate.Swap (a, b) ]) pairs;
+      List.concat_map (fun t -> List.map (fun (a, b) -> Gate.Rxx (t, a, b)) pairs) angles;
+    ]
+
+let test_predicates_match_reference () =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let differs what got want =
+            if got <> want then
+              Alcotest.failf "%s %s %s: %b, reference %b" what (Gate.to_string a)
+                (Gate.to_string b) got want
+          in
+          differs "commutes" (Gate.commutes a b) (Peephole_ref.Gate.commutes a b);
+          differs "cancels" (Gate.cancels a b) (Peephole_ref.Gate.cancels a b))
+        all_small_gates)
+    all_small_gates
+
+(* Random circuits on 1-6 qubits over every gate kind; angles drawn from
+   a small set so that opposite, zero and summing-to-zero rotations are
+   common. *)
+let random_circuit st =
+  let n = 1 + Random.State.int st 6 in
+  let angles = [| 0.1; -0.1; 0.2; -0.2; 0.3; -0.3; 0.; -0.; 1e-13 |] in
+  let angle () = angles.(Random.State.int st (Array.length angles)) in
+  let q () = Random.State.int st n in
+  let pair () =
+    let a = q () in
+    (* mostly distinct operands; the occasional degenerate pair too *)
+    let b = if n > 1 && Random.State.int st 50 > 0 then (a + 1 + Random.State.int st (n - 1)) mod n else a in
+    a, b
+  in
+  let gate () =
+    match Random.State.int st (if n > 1 then 12 else 9) with
+    | 0 -> Gate.H (q ())
+    | 1 -> Gate.X (q ())
+    | 2 -> Gate.Y (q ())
+    | 3 -> Gate.Z (q ())
+    | 4 -> Gate.S (q ())
+    | 5 -> Gate.Sdg (q ())
+    | 6 -> Gate.Rz (angle (), q ())
+    | 7 -> Gate.Rx (angle (), q ())
+    | 8 -> Gate.Ry (angle (), q ())
+    | 9 -> let a, b = pair () in Gate.Cnot (a, b)
+    | 10 -> let a, b = pair () in Gate.Swap (a, b)
+    | _ -> let a, b = pair () in Gate.Rxx (angle (), a, b)
+  in
+  Circuit.of_gates n (List.init (Random.State.int st 48) (fun _ -> gate ()))
+
+let same_gates a b =
+  let ga = Circuit.gates a and gb = Circuit.gates b in
+  Array.length ga = Array.length gb && Array.for_all2 Gate.equal ga gb
+
+let test_peephole_matches_reference () =
+  let st = Random.State.make [| 12 |] in
+  let windows = [| 1; 2; 3; 5; 8; 400 |] in
+  for k = 1 to 12_000 do
+    let c = random_circuit st in
+    let window = windows.(k mod Array.length windows) in
+    let o, removed = Peephole.cancel_once ~window c in
+    let o', removed' = Peephole_ref.cancel_once ~window c in
+    if not (same_gates o o' && removed = removed') then
+      Alcotest.failf "window %d, circuit [%s]: removed %d vs reference %d" window
+        (String.concat "; " (List.map Gate.to_string (Circuit.to_list c)))
+        removed removed';
+    (* the fixpoint reuses one scratch across rounds *)
+    let rec fixpoint c total =
+      let c', r = Peephole_ref.cancel_once ~window c in
+      if r = 0 then c', total else fixpoint c' (total + r)
+    in
+    let f, stats = Peephole.optimize_stats ~window ~max_rounds:max_int c in
+    let f', total' = fixpoint c 0 in
+    if not (same_gates f f' && stats.Peephole.removed = total') then
+      Alcotest.failf "fixpoint, window %d, circuit [%s]" window
+        (String.concat "; " (List.map Gate.to_string (Circuit.to_list c)))
+  done
+
+let test_peephole_disjoint_gates_free () =
+  (* Gates on pairwise distinct qubits have no same-qubit candidate, so
+     the walk examines nothing — the global walk took ~320k steps here. *)
+  let m = 1_000 in
+  let c = Circuit.of_gates m (List.init m (fun q -> Gate.H q)) in
+  let probes () =
+    List.assoc "peephole_probes" (Ph_perf.Counter.totals_assoc ())
+  in
+  let before = probes () in
+  let o, removed = Peephole.cancel_once c in
+  check_int "nothing removed" 0 removed;
+  check_int "all gates kept" m (Circuit.length o);
+  check_int "no probes" 0 (probes () - before)
+
 let prop_peephole_preserves_unitary =
   let gen_gate =
     QCheck.Gen.(
@@ -359,6 +464,8 @@ let () =
           Alcotest.test_case "commutes" `Quick test_commutes;
           Alcotest.test_case "commutes is sound (dense)" `Quick test_commutes_sound;
           Alcotest.test_case "cancels is sound (dense)" `Quick test_cancels_sound;
+          Alcotest.test_case "predicates match list-based reference" `Quick
+            test_predicates_match_reference;
           Alcotest.test_case "dagger is sound (dense)" `Quick test_dagger_sound;
         ] );
       ( "circuit",
@@ -388,6 +495,8 @@ let () =
           Alcotest.test_case "stats match gate delta" `Quick test_peephole_stats_consistent;
           Alcotest.test_case "cancel-heavy linear scan" `Quick test_peephole_cancel_heavy_linear;
           Alcotest.test_case "window counts live slots" `Quick test_peephole_window_semantics;
+          Alcotest.test_case "matches reference walk" `Quick test_peephole_matches_reference;
+          Alcotest.test_case "disjoint gates cost no probes" `Quick test_peephole_disjoint_gates_free;
           qcheck prop_peephole_preserves_unitary;
         ] );
     ]
