@@ -15,8 +15,11 @@
    run to also write every benchmark × config record (metrics plus the
    per-stage compile trace) as a JSON array, and diff two such files with
 
-     dune exec bench/main.exe -- table2-ft --json BENCH_pr1.json
-     dune exec bench/main.exe -- compare BENCH_pr0.json BENCH_pr1.json *)
+     dune exec bench/main.exe -- table2-ft --json new.json
+     dune exec bench/main.exe -- compare old.json new.json
+
+   Counter trajectories across commits live in `perf/history.csv`
+   (`bench history`), not in loose report files. *)
 
 open Paulihedral
 open Ph_pauli_ir

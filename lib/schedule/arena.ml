@@ -31,7 +31,10 @@ open Ph_pauli_ir
    writes to their own [par_ov]/[par_pos] slot; everything else —
    liveness, scratch, perf counters — is touched only by the
    coordinating domain, which keeps counters byte-identical at any
-   --sched-jobs. *)
+   --sched-jobs.  The row predicates ([depth], [rows_disjoint],
+   [max_load], [leader_score]) are pure reads: they bump no counter and
+   write no scratch, so a caller may order the conjuncts of a fit test
+   cheapest first without changing any output or counter. *)
 
 type t = {
   m : int;

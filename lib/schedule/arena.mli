@@ -11,7 +11,11 @@
     ([cand]idate window, [prev]ious-layer tails, [touched]/[chosen]
     stacks, the per-qubit load vector, parallel-reduction slots) is
     preallocated at {!build} and reused, so a scheduling round allocates
-    nothing beyond its output layer.
+    nothing beyond its output layer.  The row predicates ({!depth},
+    {!rows_disjoint}, {!max_load}, {!leader_score}) are pure reads —
+    no counter bumps, no scratch writes — so a fit test may evaluate its
+    conjuncts cheapest first and still leave every output and counter
+    unchanged.
 
     The optionally parallel {!argmax} partitions the candidate window
     over {!Ph_exec.Team} worker domains; the ascending-chunk,

@@ -49,22 +49,32 @@ let schedule_stats ?rank ?(padding = true) ?(window = default_window)
          a candidate fits while its qubit region's accumulated depth
          stays within the leader's estimated depth.  The load vector is
          dense per-qubit; only the slots touched this round are reset
-         afterwards. *)
+         afterwards.
+
+         The fit test runs its conjuncts cheapest first: the block's own
+         depth against the budget (one array read), then disjointness
+         from the leader (one AND per plane word), and only then the
+         per-qubit load walk over the candidate's set bits.  Loads are
+         non-negative, so [max_load + depth <= budget] implies the first
+         conjunct and the reordering accepts exactly the same blocks.
+         No conjunct may bump a counter or write scratch: a test that
+         short-circuits must leave no trace, which keeps layers and
+         every counter row identical to the unordered test. *)
       let budget = Arena.depth a leader_idx in
       Arena.reset_touched a;
       let visited = Arena.collect a ~window in
       for p = 0 to visited - 1 do
         let i = Arena.candidate a p in
-        let current = Arena.max_load a i in
-        if
-          current + Arena.depth a i <= budget
-          && Arena.rows_disjoint a leader_idx i
-        then begin
-          Arena.set_load a i (current + Arena.depth a i);
-          Arena.push_touched a i;
-          Arena.push_chosen a i;
-          incr n_padded;
-          Arena.take a i
+        let d = Arena.depth a i in
+        if d <= budget && Arena.rows_disjoint a leader_idx i then begin
+          let load = Arena.max_load a i + d in
+          if load <= budget then begin
+            Arena.set_load a i load;
+            Arena.push_touched a i;
+            Arena.push_chosen a i;
+            incr n_padded;
+            Arena.take a i
+          end
         end
       done;
       Ph_perf.Counter.add Ph_perf.Counter.sched_padding_probes visited;

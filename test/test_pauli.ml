@@ -187,6 +187,69 @@ let test_term () =
   check "term differs by coeff" false
     (Pauli_term.equal t (Pauli_term.make (Pauli_string.of_string "XZ") 0.25))
 
+(* --- Float_text --- *)
+
+(* The unshortened search [Float_text.repr] replaced, kept verbatim as
+   the oracle: every precision from 1, a parse after each. *)
+let repr_oracle f =
+  if Float.is_nan f then "nan"
+  else if f = infinity then "inf"
+  else if f = neg_infinity then "-inf"
+  else begin
+    (* Try increasing precision until the decimal form round-trips;
+       %.17g always does for finite doubles, so the loop terminates. *)
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else go (p + 1)
+    in
+    go 1
+  end
+
+let test_repr_oracle () =
+  let mismatches = ref [] in
+  let check_one f =
+    let got = Float_text.repr f and want = repr_oracle f in
+    if got <> want && List.length !mismatches < 5 then
+      mismatches :=
+        Printf.sprintf "%Lx: repr %s, oracle %s" (Int64.bits_of_float f) got want
+        :: !mismatches
+  in
+  let both_signs f =
+    check_one f;
+    check_one (Float.neg f)
+  in
+  List.iter both_signs
+    [ 0.; Float.min_float; Float.max_float; Float.epsilon; 0.1; 1e5; 1e15;
+      1e16; 1e17; 0.3; 1. /. 3.; Float.nan; Float.infinity ];
+  (* every power of two, subnormal to the largest, and its neighbours *)
+  for e = -1074 to 1023 do
+    let f = Float.ldexp 1. e in
+    both_signs f;
+    both_signs (Float.pred f);
+    both_signs (Float.succ f)
+  done;
+  let rng = Random.State.make [| 13 |] in
+  let bits60 () = Random.State.bits rng lor (Random.State.bits rng lsl 30) in
+  for _ = 1 to 100_000 do
+    (* uniform bit patterns (both signs; NaNs and infinities included) *)
+    check_one
+      (Int64.float_of_bits
+         (Int64.logor
+            (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 34)
+            (Int64.of_int (bits60 ()))))
+  done;
+  for _ = 1 to 5_000 do
+    (* subnormals: uniform mantissa, zero exponent *)
+    both_signs (Int64.float_of_bits (Int64.of_int (bits60 () land 0xF_FFFF_FFFF_FFFF)));
+    (* short decimals, which round-trip below 15 digits *)
+    both_signs
+      (float_of_string
+         (Printf.sprintf "%de%d"
+            (Random.State.int rng 1_000_000_000)
+            (Random.State.int rng 600 - 300)))
+  done;
+  check_str "repr mismatches" "" (String.concat "; " (List.rev !mismatches))
+
 let () =
   Alcotest.run "pauli"
     [
@@ -216,4 +279,6 @@ let () =
           qcheck prop_with_ops;
         ] );
       ("term", [ Alcotest.test_case "basics" `Quick test_term ]);
+      ( "float_text",
+        [ Alcotest.test_case "repr matches the full search" `Quick test_repr_oracle ] );
     ]

@@ -448,6 +448,35 @@ let test_arena_parity_fuzz () =
     check_parity ~what:(Printf.sprintf "fuzz case %d" case) ?window prog
   done
 
+(* The padding scan carries most of DO's time on ft-chem-sized inputs,
+   so check the fit test there too: same layers, certificates and
+   padded counts as the oracle, and the recorded number of padding
+   probes — the fit test's conjunct order must not change how many
+   candidates are probed. *)
+let test_arena_parity_ft_chem () =
+  List.iter
+    (fun (what, prog, probes) ->
+      check_parity ~what prog;
+      let old_do = Oracle.do_schedule prog in
+      let before = Ph_perf.Counter.snapshot () in
+      let _, stats = Depth_oriented.schedule_stats prog in
+      let after = Ph_perf.Counter.snapshot () in
+      check_int (what ^ ": padded count")
+        (List.length (List.concat_map (fun l -> l.Layer.blocks) old_do)
+        - List.length old_do)
+        stats.Depth_oriented.padded;
+      check_int (what ^ ": padding probes") probes
+        (List.assoc "sched_padding_probes"
+           (Ph_perf.Counter.compile_assoc ~before ~after)))
+    [
+      ( "molecule 28q/3000",
+        Ph_benchmarks.Molecule.synthetic ~n_qubits:28 ~target_strings:3000 (),
+        979_855 );
+      ( "random 40q/0.5",
+        Ph_benchmarks.Random_h.program ~density:0.5 ~n_qubits:40 (),
+        213_481 );
+    ]
+
 (* Parallel scans must be invisible: same layers at any jobs count, with
    the window shrunk so the scan actually partitions. *)
 let test_arena_jobs_identical () =
@@ -505,6 +534,8 @@ let () =
             test_arena_parity_table2;
           Alcotest.test_case "500-case fuzz vs pr8 oracle" `Quick
             test_arena_parity_fuzz;
+          Alcotest.test_case "ft-chem-scale padding vs pr8 oracle" `Quick
+            test_arena_parity_ft_chem;
           Alcotest.test_case "layers identical across jobs" `Quick
             test_arena_jobs_identical;
         ] );
