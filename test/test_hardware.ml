@@ -14,6 +14,25 @@ let test_create_dedup () =
   check "symmetric" true (Coupling.adjacent g 1 0);
   check "not adjacent" false (Coupling.adjacent g 0 2)
 
+let test_arc_ids () =
+  (* Arc ids number exactly the adjacent ordered pairs, densely, in
+     (tail, head) order. *)
+  List.iter
+    (fun g ->
+      let n = Coupling.n_qubits g in
+      check_int "two arcs per edge" (2 * Coupling.n_edges g) (Coupling.n_arcs g);
+      let next = ref 0 in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          if Coupling.adjacent g u v then begin
+            check_int "dense id in (tail, head) order" !next (Coupling.arc g u v);
+            incr next
+          end
+          else check_int "no id off the coupling map" (-1) (Coupling.arc g u v)
+        done
+      done)
+    [ Coupling.create 3 [ 0, 1; 1, 0; 1, 2 ]; Devices.manhattan; Devices.grid 3 4 ]
+
 let test_create_validation () =
   Alcotest.check_raises "self loop" (Invalid_argument "Coupling.create: self-loop")
     (fun () -> ignore (Coupling.create 2 [ 1, 1 ]));
@@ -36,6 +55,76 @@ let test_weighted_path () =
   Alcotest.(check (list int)) "weighted path avoids 0-1" [ 0; 2; 3 ]
     (Coupling.shortest_path_weighted g ~cost 0 3)
 
+(* [Coupling.shortest_path_tree] against the per-pair Dijkstra oracle
+   [Coupling_ref.shortest_path_weighted]: for every source and every
+   target of the set, the path read off [prev] and [dist] are exactly the
+   oracle's path and the left-to-right float sum of its arc costs; an
+   unreachable target has [dist = infinity] where the oracle raises
+   [Not_found].  [shortest_path_weighted] must agree too. *)
+let check_tree_against_ref name g ~cost ~target_sets =
+  let n = Coupling.n_qubits g in
+  for src = 0 to n - 1 do
+    List.iter
+      (fun targets ->
+        let dist, prev = Coupling.shortest_path_tree g ~cost ~targets src in
+        List.iter
+          (fun dst ->
+            let where = Printf.sprintf "%s %d->%d" name src dst in
+            match Coupling_ref.shortest_path_weighted g ~cost src dst with
+            | exception Not_found ->
+              check (where ^ " unreachable") true (dist.(dst) = infinity);
+              check (where ^ " wrapper raises") true
+                (match Coupling.shortest_path_weighted g ~cost src dst with
+                | _ -> false
+                | exception Not_found -> true)
+            | path ->
+              let rec back v acc = if v = src then src :: acc else back prev.(v) (v :: acc) in
+              Alcotest.(check (list int)) (where ^ " path") path (back dst []);
+              let rec sum acc = function
+                | u :: (v :: _ as rest) -> sum (acc +. cost u v) rest
+                | _ -> acc
+              in
+              check (where ^ " dist is the path's float sum") true (dist.(dst) = sum 0. path);
+              Alcotest.(check (list int)) (where ^ " wrapper") path
+                (Coupling.shortest_path_weighted g ~cost src dst))
+          targets)
+      (target_sets src)
+  done
+
+let test_shortest_path_tree () =
+  let all g = List.init (Coupling.n_qubits g) Fun.id in
+  (* every node at once, each node alone, and a strided subset (early
+     stop with targets left unsettled elsewhere) *)
+  let target_sets g src =
+    [ all g; [ (src + 7) mod Coupling.n_qubits g ]; List.filter (fun v -> v mod 5 = 2) (all g) ]
+  in
+  let swap_cost noise u v = -3. *. log (max 1e-9 (1. -. noise.Noise_model.cnot_error u v)) in
+  List.iter
+    (fun (dname, g) ->
+      let n = Coupling.n_qubits g in
+      let calibrated = Noise_model.calibrated g ~seed:3 () in
+      let avoided = Array.init n (fun v -> v mod 6 = 1) in
+      let occupied = Array.init n (fun v -> v mod 4 = 0) in
+      List.iter
+        (fun (cname, cost) ->
+          check_tree_against_ref (dname ^ "/" ^ cname) g ~cost ~target_sets:(target_sets g))
+        [
+          "uniform", (fun _ _ -> 1.);
+          "calibrated", swap_cost calibrated;
+          ( "avoided",
+            fun u v ->
+              if avoided.(u) || avoided.(v) then 1e12
+              else swap_cost calibrated u v +. if occupied.(v) then 10. else 0. );
+        ])
+    [ "manhattan", Devices.manhattan; "grid-5x5", Devices.grid 5 5 ];
+  (* Disconnected: {0,1,2} and {3,4}. *)
+  let g = Coupling.create 5 [ 0, 1; 1, 2; 3, 4 ] in
+  check_tree_against_ref "disconnected" g ~cost:(fun _ _ -> 1.) ~target_sets:(fun _ -> [ all g ]);
+  let dist, _ = Coupling.shortest_path_tree g ~cost:(fun _ _ -> 1.) ~targets:[ 4 ] 0 in
+  check "unreachable target at infinity" true (dist.(4) = infinity);
+  Alcotest.check_raises "unreachable path" Not_found (fun () ->
+      ignore (Coupling.shortest_path_weighted g ~cost:(fun _ _ -> 1.) 0 4))
+
 let test_subset_components () =
   let g = Devices.line 6 in
   let comps = Coupling.subset_components g [ 0; 1; 3; 4; 5 ] in
@@ -49,6 +138,15 @@ let test_densest_subgraph () =
   check_int "4 nodes" 4 (List.length nodes);
   (* Chosen nodes form a connected induced subgraph. *)
   check_int "connected" 1 (List.length (Coupling.subset_components g nodes))
+
+let test_densest_subgraph_empty () =
+  let g = Devices.grid 3 3 in
+  Alcotest.(check (list int)) "k = 0 gives no nodes" [] (Coupling.densest_subgraph g 0);
+  Alcotest.check_raises "k < 0 rejected"
+    (Invalid_argument "Coupling.densest_subgraph: k < 0")
+    (fun () -> ignore (Coupling.densest_subgraph g (-1)));
+  check_int "empty most-connected layout" 0
+    (Layout.n_logical (Layout.most_connected g ~n_logical:0))
 
 let test_bfs_tree () =
   let g = Devices.line 5 in
@@ -184,10 +282,14 @@ let () =
         [
           Alcotest.test_case "create/dedup" `Quick test_create_dedup;
           Alcotest.test_case "validation" `Quick test_create_validation;
+          Alcotest.test_case "arc ids" `Quick test_arc_ids;
           Alcotest.test_case "distance and paths" `Quick test_distance_path;
           Alcotest.test_case "weighted paths" `Quick test_weighted_path;
           Alcotest.test_case "subset components" `Quick test_subset_components;
+          Alcotest.test_case "shortest-path tree matches per-pair Dijkstra" `Quick
+            test_shortest_path_tree;
           Alcotest.test_case "densest subgraph" `Quick test_densest_subgraph;
+          Alcotest.test_case "densest subgraph of k <= 0" `Quick test_densest_subgraph_empty;
           Alcotest.test_case "bfs tree" `Quick test_bfs_tree;
           qcheck prop_distance_triangle;
           qcheck prop_path_valid;

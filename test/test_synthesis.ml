@@ -283,6 +283,127 @@ let test_sc_swap_counter () =
     (count_swaps r.circuit) r.swaps;
   check "routing produced swaps" true (r.swaps > 0)
 
+(* The SC backend must reproduce the reference implementation kept in
+   [Sc_backend_ref] gate for gate: same circuit, rotation trace, SWAP
+   count and initial/final layouts.  Every program used here compiles,
+   so the comparison is never between two identical failures. *)
+let sc_matches_ref ?noise ?root_policy ~coupling name prog =
+  let n_qubits = Program.n_qubits prog in
+  let layers = Depth_oriented.schedule prog in
+  let summary circuit rotations initial final swaps =
+    ( Circuit.gates circuit,
+      List.map (fun (s, t) -> Pauli_string.to_string s, t) rotations,
+      Layout.to_array initial,
+      Layout.to_array final,
+      swaps )
+  in
+  let run f = match f () with r -> Ok r | exception e -> Error (Printexc.to_string e) in
+  let got =
+    run (fun () ->
+        let r = Sc_backend.synthesize ?noise ?root_policy ~coupling ~n_qubits layers in
+        summary r.circuit r.rotations r.initial_layout r.final_layout r.swaps)
+  in
+  let want =
+    run (fun () ->
+        let r = Sc_backend_ref.synthesize ?noise ?root_policy ~coupling ~n_qubits layers in
+        summary r.circuit r.rotations r.initial_layout r.final_layout r.swaps)
+  in
+  check (name ^ " compiles") true (Result.is_ok want);
+  check (name ^ " matches the reference") true (got = want);
+  layers
+
+let test_sc_matches_ref_sc_route () =
+  (* The shapes of the sc-route benchmark workload: DO on Manhattan-65. *)
+  let open Ph_benchmarks in
+  let coupling = Devices.manhattan in
+  let progs seed =
+    List.map
+      (fun (n, cap) ->
+        ( Printf.sprintf "uccsd-%d.%d" n seed,
+          Uccsd.ansatz ~seed ?max_doubles:cap ~n_qubits:n () ))
+      [ 8, None; 12, Some 100; 16, Some 120 ]
+    @ List.map
+        (fun d ->
+          ( Printf.sprintf "reg-20-%d.%d" d seed,
+            Qaoa.maxcut (Graphs.regular ~seed 20 d) ~gamma:0.6 ))
+        [ 4; 8 ]
+    @ List.map
+        (fun p ->
+          ( Printf.sprintf "er-20-%g.%d" p seed,
+            Qaoa.maxcut (Graphs.erdos_renyi ~seed 20 p) ~gamma:0.6 ))
+        [ 0.3; 0.5 ]
+    @ List.map
+        (fun n -> Printf.sprintf "tsp-%d.%d" n seed, Qaoa.tsp ~seed n ~gamma:0.6)
+        [ 4; 5 ]
+  in
+  List.iter
+    (fun seed ->
+      List.iter (fun (name, prog) -> ignore (sc_matches_ref ~coupling name prog)) (progs seed))
+    [ 1; 2; 3 ]
+
+let test_sc_matches_ref_devices () =
+  (* Other topologies, calibrated noise, the ablated root policy, and
+     padded layers (whose small blocks route under [~avoid]). *)
+  let open Ph_benchmarks in
+  let devices =
+    [
+      "grid-5x5", Devices.grid 5 5;
+      "heavy-hex-3x9", Devices.heavy_hex ~rows:3 ~row_length:9;
+      "line-30", Devices.line 30;
+      "melbourne", Devices.melbourne;
+    ]
+  in
+  let padded = ref 0 in
+  List.iter
+    (fun (dname, coupling) ->
+      let progs =
+        List.concat_map
+          (fun seed ->
+            [
+              "random-12", Random_h.program ~seed ~density:0.3 ~n_qubits:12 ();
+              "random-16", Random_h.program ~seed ~density:0.15 ~n_qubits:16 ();
+              "qaoa-reg-12-3", Qaoa.maxcut (Graphs.regular ~seed 12 3) ~gamma:0.6;
+              "qaoa-er-16", Qaoa.maxcut (Graphs.erdos_renyi ~seed 16 0.3) ~gamma:0.6;
+              "uccsd-8", Uccsd.ansatz ~seed ~max_doubles:12 ~n_qubits:8 ();
+              "uccsd-12", Uccsd.ansatz ~seed ~max_doubles:20 ~n_qubits:12 ();
+            ])
+          [ 5; 6 ]
+      in
+      List.iter
+        (fun (pname, prog) ->
+          let calibrated = Noise_model.calibrated coupling ~seed:11 () in
+          List.iter
+            (fun (vname, noise, root_policy) ->
+              let name = String.concat "/" [ dname; pname; vname ] in
+              let layers = sc_matches_ref ?noise ~root_policy ~coupling name prog in
+              List.iter (fun l -> padded := !padded + List.length (Layer.padding l)) layers)
+            [
+              "uniform", None, `Largest_component;
+              "calibrated", Some calibrated, `Largest_component;
+              "first-core", None, `First_core;
+              "calibrated-first-core", Some calibrated, `First_core;
+            ])
+        progs)
+    devices;
+  check "some layers carry padding" true (!padded > 0)
+
+let test_sc_matches_ref_hop_under_avoid () =
+  (* On a 4x4 grid a padded block's string ends up split around the
+     leader's committed positions, so its hop must detour around them. *)
+  let blocks =
+    List.map
+      (fun strs -> Block.make (List.map (fun s -> term s 0.5) strs) (Block.fixed 0.3))
+      [
+        [ "IYIIIIYIYIIZI"; "IXIIIIXZIIIXI" ];
+        [ "IIIIZIZIIIIII" ];
+        [ "IIIZIZIIIYXII"; "IIIXIIIIIXYII"; "IIIYIIIIIXXII" ];
+        [ "IIIIZYXIIIIII"; "IIIIZYIIIIIII"; "IIIIYZIIIIIII" ];
+        [ "ZIIIIYIXYXIIX"; "YIIIIIIIYIIIZ"; "XIIIIZIYIIIIX" ];
+      ]
+  in
+  let prog = Program.make 13 blocks in
+  ignore (sc_matches_ref ~coupling:(Devices.grid 4 4) "grid-4x4" prog)
+
 let test_ft_cancellation_across_padding () =
   (* Two near-identical wide strings separated by a disjoint small one:
      the partner search skips the padding and junction cancellation still
@@ -341,6 +462,12 @@ let () =
           Alcotest.test_case "parallel small blocks" `Quick test_sc_parallel_small_blocks;
           Alcotest.test_case "20q on manhattan" `Quick test_sc_scale_manhattan;
           Alcotest.test_case "swap counter" `Quick test_sc_swap_counter;
+          Alcotest.test_case "matches reference on sc-route shapes" `Quick
+            test_sc_matches_ref_sc_route;
+          Alcotest.test_case "matches reference across devices and noise" `Quick
+            test_sc_matches_ref_devices;
+          Alcotest.test_case "matches reference when hops detour padding" `Quick
+            test_sc_matches_ref_hop_under_avoid;
           Alcotest.test_case "cancellation across padding" `Quick
             test_ft_cancellation_across_padding;
         ] );
