@@ -45,6 +45,20 @@ let config_for ?analyze ?gap_threshold ?sched_jobs ~backend ~device ~schedule
   | Ok config -> config
   | Error (`Msg m) -> failwith m
 
+(* A compile that raises (a backend bug, say) is reported on stderr as a
+   compile-stage error with exit code 1, as `phc serve` and `phc batch`
+   report it, never as an uncaught exception.  Config and parse
+   failures keep their own messages: they are raised before the
+   compile starts. *)
+exception Compile_error of exn
+
+let compile_stage config program =
+  try Compiler.compile config program with e -> raise (Compile_error e)
+
+let compile_error e =
+  Printf.eprintf "compile error: %s\n" (Printexc.to_string e);
+  1
+
 (* Lint findings go to stderr (stdout carries metrics / JSON); returns
    true when error-severity findings must fail the run. *)
 let report_lint ~lint (out : Compiler.output) =
@@ -58,7 +72,7 @@ let run file backend device schedule window sched_jobs params print_circuit
     let source = read_file file in
     let program = Ph_pauli_ir.Parser.parse ~params source in
     let out =
-      Compiler.compile
+      compile_stage
         (config_for ~analyze ~gap_threshold ~sched_jobs ~backend ~device
            ~schedule ~lint ~window ())
         program
@@ -67,6 +81,7 @@ let run file backend device schedule window sched_jobs params print_circuit
   with
   | exception Sys_error m -> prerr_endline m; 1
   | exception Failure m -> prerr_endline m; 1
+  | exception Compile_error e -> compile_error e
   | exception Ph_pauli_ir.Parser.Parse_error m ->
     Printf.eprintf "parse error: %s\n" m;
     1
@@ -405,10 +420,11 @@ let run_lint file backend device schedule params json =
       config_for ~backend ~device ~schedule ~lint:Lint.Diag.Error_level
         ~window:Config.default_window ()
     in
-    Ok (program, Compiler.compile config program)
+    Ok (program, compile_stage config program)
   with
   | exception Sys_error m -> prerr_endline m; 1
   | exception Failure m -> prerr_endline m; 1
+  | exception Compile_error e -> compile_error e
   | exception Ph_pauli_ir.Parser.Parse_error m ->
     Printf.eprintf "parse error: %s\n" m;
     1
@@ -466,10 +482,11 @@ let run_analyze file backend device schedule window params gap_threshold lint
       config_for ~analyze:true ~gap_threshold ~backend ~device ~schedule ~lint
         ~window ()
     in
-    Ok (program, Compiler.compile config program)
+    Ok (program, compile_stage config program)
   with
   | exception Sys_error m -> prerr_endline m; 1
   | exception Failure m -> prerr_endline m; 1
+  | exception Compile_error e -> compile_error e
   | exception Ph_pauli_ir.Parser.Parse_error m ->
     Printf.eprintf "parse error: %s\n" m;
     1

@@ -71,8 +71,11 @@ let compile config prog =
      runs, breaking --jobs 1 vs --jobs N byte-identity), and the
      coupling map's lazy all-pairs BFS must be forced for the same
      reason — shared device values are warmed by whichever compile gets
-     there first. *)
+     there first.  The scan team's worker domains are spawned here too:
+     a parallel dispatch allocates nothing on this domain once they
+     exist, so --sched-jobs 1 and N record the same allocation words. *)
   Ph_perf.Counter.touch ();
+  Ph_exec.Team.warm config.Config.sched_jobs;
   (match config.Config.backend with
   | Config.Sc { coupling; _ } ->
     if Coupling.n_qubits coupling > 0 then

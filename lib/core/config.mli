@@ -52,7 +52,7 @@ type t = {
           warning fires; default {!default_gap_threshold}. *)
   sched_jobs : int;
       (** Worker domains for the schedulers' candidate scans within one
-          compile ([Ph_schedule.Arena.argmax] over [Ph_exec.Team];
+          compile ([Ph_schedule.Arena.leader_argmax] over [Ph_exec.Team];
           default 1 = sequential).  Output-invariant: schedules,
           metrics, and perf counters are bit-identical at any value, so
           it is excluded from {!fingerprint} and compiles at different

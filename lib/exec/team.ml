@@ -46,7 +46,8 @@ let finished = Condition.create ()
 let spawned = ref 0
 let busy = ref false
 let stopping = ref false
-let job : (int -> unit) option ref = ref None
+let no_job (_ : int) = ()
+let job : (int -> unit) ref = ref no_job
 let chunks = ref 0
 let next_chunk = ref 0
 let unfinished = ref 0
@@ -76,16 +77,28 @@ let worker () =
   Mutex.lock lock;
   let rec loop () =
     if !stopping then Mutex.unlock lock
-    else
-      match !job with
-      | Some f when !next_chunk < !chunks ->
-        drain f !chunks;
-        loop ()
-      | Some _ | None ->
-        Condition.wait work lock;
-        loop ()
+    else if !next_chunk < !chunks then begin
+      drain !job !chunks;
+      loop ()
+    end
+    else begin
+      Condition.wait work lock;
+      loop ()
+    end
   in
   loop ()
+
+(* With [lock] held: grow the team to [jobs - 1] workers. *)
+let grow jobs =
+  while !spawned < jobs - 1 do
+    domains := Domain.spawn worker :: !domains;
+    incr spawned
+  done
+
+(* One preallocated handle per clamped job count, so an acquire
+   allocates nothing once the workers exist: a scan dispatch must not
+   move the caller's allocation counters. *)
+let handles = Array.init (max_jobs + 1) (fun jobs -> Some { jobs })
 
 let try_acquire jobs =
   let jobs = min jobs max_jobs in
@@ -96,15 +109,24 @@ let try_acquire jobs =
       if !busy || !stopping then None
       else begin
         busy := true;
-        while !spawned < jobs - 1 do
-          domains := Domain.spawn worker :: !domains;
-          incr spawned
-        done;
-        Some { jobs }
+        grow jobs;
+        handles.(jobs)
       end
     in
     Mutex.unlock lock;
     r
+  end
+
+(* Spawning is the one allocating step of an acquire; doing it ahead of
+   time keeps it out of the caller's measured window.  Growing while the
+   team is held is safe: a new worker just joins the current job's
+   chunk claiming. *)
+let warm jobs =
+  let jobs = min jobs max_jobs in
+  if jobs > 1 then begin
+    Mutex.lock lock;
+    if not !stopping then grow jobs;
+    Mutex.unlock lock
   end
 
 let release (_ : t) =
@@ -118,7 +140,7 @@ let run (t : t) ~chunks:n f =
   else begin
     ignore t.jobs;
     Mutex.lock lock;
-    job := Some f;
+    job := f;
     chunks := n;
     next_chunk := 0;
     unfinished := n;
@@ -128,7 +150,7 @@ let run (t : t) ~chunks:n f =
     while !unfinished > 0 do
       Condition.wait finished lock
     done;
-    job := None;
+    job := no_job;
     let e = !failure in
     failure := None;
     Mutex.unlock lock;

@@ -30,7 +30,16 @@ val try_acquire : int -> t option
     parallelism (the holder's own domain plus [jobs - 1] workers).
     Returns [None] when [jobs <= 1] after clamping, or when the team is
     already held — callers must then use their sequential path.  Never
-    blocks. *)
+    blocks.  Once the workers exist, an acquire, a {!run} and a
+    {!release} allocate nothing on the caller's domain beyond what the
+    chunk body itself allocates. *)
+
+val warm : int -> unit
+(** [warm jobs] spawns the workers a [jobs]-way {!try_acquire} would
+    need, now.  Worker spawning is the only step of an acquire/{!run}
+    cycle that allocates on the caller's domain, so a caller that
+    measures its own allocation warms the team before sampling its
+    baseline.  Never waits for the current holder. *)
 
 val release : t -> unit
 (** Release the team for the next holder.  Workers stay parked. *)

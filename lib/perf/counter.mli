@@ -91,8 +91,8 @@ val cache_hits_disk : id
 val cache_stores : id
 
 val sched_par_scans : id
-(** Parallel candidate-scan dispatches ([Ph_schedule.Arena.argmax] runs
-    that actually fanned out over the domain team).  Process-scoped
+(** Parallel candidate-scan dispatches ([Ph_schedule.Arena.leader_argmax]
+    runs that actually fanned out over the domain team).  Process-scoped
     only: the count depends on --sched-jobs and on team availability,
     so it must never land in a per-compile snapshot — schedules and
     records are byte-identical across --sched-jobs settings, and this

@@ -31,9 +31,11 @@ open Ph_pauli_ir
    writes to their own [par_ov]/[par_pos] slot; everything else —
    liveness, scratch, perf counters — is touched only by the
    coordinating domain, which keeps counters byte-identical at any
-   --sched-jobs.  The row predicates ([depth], [rows_disjoint],
-   [max_load], [leader_score]) are pure reads: they bump no counter and
-   write no scratch, so a caller may order the conjuncts of a fit test
+   --sched-jobs.  The chunk body itself is [par_body], a closure built
+   once per arena that reads its bounds from [par_visited]/[par_chunks],
+   so a parallel dispatch allocates nothing.  The padding fit test's
+   conjuncts ([depth], [rows_disjoint], [max_load]) are pure reads: they
+   bump no counter and write no scratch, so [pad] evaluates them
    cheapest first without changing any output or counter. *)
 
 type t = {
@@ -61,6 +63,9 @@ type t = {
   load : int array;
   par_ov : int array;
   par_pos : int array;
+  mutable par_visited : int;
+  mutable par_chunks : int;
+  mutable par_body : int -> unit;
 }
 
 type order = Active_desc | Lex
@@ -68,9 +73,52 @@ type order = Active_desc | Lex
 let size a = a.m
 let words a = a.words
 let block a i = a.blocks.(i)
-let depth a i = a.depth.(i)
 let n_alive a = a.n_alive
 let first_alive a = a.first_alive
+
+(* ---------- fused leader scan kernel ---------- *)
+
+(* First maximum of the leader affinity over candidate positions
+   [lo, hi), written to chunk slot [k].  A candidate's affinity is the
+   best operator overlap between any previous-layer tail string and its
+   head string — [Pauli_string.overlap tail head] computed word by word
+   on the planes: equal x, equal z, and non-identity.  Strict [>]
+   against the -1 sentinel keeps the FIRST position attaining the
+   maximum.  One loop nest serves every plane width; the body reads the
+   feature arrays and writes only its own [par_pos]/[par_ov] slot, so
+   it may run on a worker domain. *)
+let leader_chunk a k lo hi =
+  let words = a.words and n_prev = a.n_prev in
+  let cand = a.cand and prev = a.prev in
+  let tx = a.tail_x and tz = a.tail_z and hx = a.head_x and hz = a.head_z in
+  let best_ov = ref (-1) and best_pos = ref (-1) in
+  for p = lo to hi - 1 do
+    let ho = Array.unsafe_get cand p * words in
+    let score = ref 0 in
+    for t = 0 to n_prev - 1 do
+      let tp = Array.unsafe_get prev t * words in
+      let ov = ref 0 in
+      for w = 0 to words - 1 do
+        let x1 = Array.unsafe_get tx (tp + w) and z1 = Array.unsafe_get tz (tp + w) in
+        let x2 = Array.unsafe_get hx (ho + w) and z2 = Array.unsafe_get hz (ho + w) in
+        ov :=
+          !ov + Bits.popcount (lnot (x1 lxor x2) land lnot (z1 lxor z2) land (x1 lor z1))
+      done;
+      if !ov > !score then score := !ov
+    done;
+    if !score > !best_ov then begin
+      best_ov := !score;
+      best_pos := p
+    end
+  done;
+  Array.unsafe_set a.par_pos k !best_pos;
+  Array.unsafe_set a.par_ov k !best_ov
+
+(* Chunk [k] of the current parallel scan: the ascending partition
+   [k·visited/chunks, (k+1)·visited/chunks). *)
+let par_chunk a k =
+  let v = a.par_visited and c = a.par_chunks in
+  leader_chunk a k (k * v / c) ((k + 1) * v / c)
 
 let build ?rank ~order prog =
   let src = Program.blocks prog in
@@ -137,30 +185,37 @@ let build ?rank ~order prog =
       Array.blit o_active (oi * words) active pos words;
       depth.(i) <- o_depth.(oi))
     perm;
-  {
-    m;
-    words;
-    blocks;
-    head_x;
-    head_z;
-    tail_x;
-    tail_z;
-    active;
-    depth;
-    alive = Bytes.make (max 1 m) '\001';
-    n_alive = m;
-    first_alive = 0;
-    cand = Array.make (max 1 m) 0;
-    prev = Array.make (max 1 m) 0;
-    n_prev = 0;
-    touched = Array.make (max 1 m) 0;
-    n_touched = 0;
-    chosen = Array.make (max 1 m) 0;
-    n_chosen = 0;
-    load = Array.make (max 1 n) 0;
-    par_ov = Array.make Ph_exec.Team.max_jobs 0;
-    par_pos = Array.make Ph_exec.Team.max_jobs 0;
-  }
+  let a =
+    {
+      m;
+      words;
+      blocks;
+      head_x;
+      head_z;
+      tail_x;
+      tail_z;
+      active;
+      depth;
+      alive = Bytes.make (max 1 m) '\001';
+      n_alive = m;
+      first_alive = 0;
+      cand = Array.make (max 1 m) 0;
+      prev = Array.make (max 1 m) 0;
+      n_prev = 0;
+      touched = Array.make (max 1 m) 0;
+      n_touched = 0;
+      chosen = Array.make (max 1 m) 0;
+      n_chosen = 0;
+      load = Array.make (max 1 n) 0;
+      par_ov = Array.make Ph_exec.Team.max_jobs 0;
+      par_pos = Array.make Ph_exec.Team.max_jobs 0;
+      par_visited = 0;
+      par_chunks = 1;
+      par_body = ignore;
+    }
+  in
+  a.par_body <- par_chunk a;
+  a
 
 (* ---------- liveness ---------- *)
 
@@ -193,40 +248,7 @@ let collect a ~window =
 
 let candidate a p = a.cand.(p)
 
-(* ---------- allocation-free row kernels ---------- *)
-
-(* Top-level recursion with int arguments only: no closure allocation
-   per candidate, and safe to call from parallel chunk bodies (pure
-   reads of the feature arrays). *)
-
-let rec overlap_loop tx tz hx hz o1 o2 k acc =
-  if k = 0 then acc
-  else
-    let k = k - 1 in
-    let x1 = Array.unsafe_get tx (o1 + k) and z1 = Array.unsafe_get tz (o1 + k) in
-    let x2 = Array.unsafe_get hx (o2 + k) and z2 = Array.unsafe_get hz (o2 + k) in
-    let xe = lnot (x1 lxor x2) and ze = lnot (z1 lxor z2) in
-    overlap_loop tx tz hx hz o1 o2 k
-      (acc + Bits.popcount (xe land ze land (x1 lor z1)))
-
-(* Operator overlap between the tail string of block [ti] and the head
-   string of block [hi] — the arena form of
-   [Pauli_string.overlap tail head].  No counter bumps here: scan
-   drivers charge the kernel counters once per scan on the coordinating
-   domain (see the scratch contract). *)
-let overlap_tail_head a ti hi =
-  overlap_loop a.tail_x a.tail_z a.head_x a.head_z (ti * a.words) (hi * a.words)
-    a.words 0
-
-let rec max_over_prev a hi k acc =
-  if k = a.n_prev then acc
-  else
-    max_over_prev a hi (k + 1)
-      (max acc (overlap_tail_head a (Array.unsafe_get a.prev k) hi))
-
-(* Leader affinity of candidate block [hi]: best overlap between any of
-   the previous layer's tail strings and [hi]'s head string. *)
-let leader_score a hi = max_over_prev a hi 0 0
+(* ---------- padding row kernels (allocation-free, pure) ---------- *)
 
 let rec bits_max load b base acc =
   if b = 0 then acc
@@ -293,72 +315,99 @@ let set_prev1 a i =
   a.prev.(0) <- i;
   a.n_prev <- 1
 
-let reset_touched a = a.n_touched <- 0
+(* ---------- padding ---------- *)
 
-let push_touched a i =
-  a.touched.(a.n_touched) <- i;
-  a.n_touched <- a.n_touched + 1
+(* Padding blocks may stack on the same qubits as each other (their
+   depths then add up per qubit) but never on the leader's; a candidate
+   fits while its qubit region's accumulated depth stays within the
+   leader's estimated depth.  The load vector is dense per-qubit; only
+   the slots touched this round are reset afterwards.
 
-let clear_touched_loads a =
+   The fit test runs its conjuncts cheapest first: the block's own depth
+   against the budget (one array read), then disjointness from the
+   leader (one AND per plane word), and only then the per-qubit load
+   walk over the candidate's set bits.  Loads are non-negative, so
+   [max_load + depth <= budget] implies the first conjunct and the
+   reordering accepts exactly the same blocks.  No conjunct bumps a
+   counter or writes scratch: a test that short-circuits leaves no
+   trace, which keeps layers and every counter row identical to the
+   unordered test. *)
+let pad a ~leader ~visited =
+  let budget = a.depth.(leader) in
+  let padded = ref 0 in
+  a.n_touched <- 0;
+  for p = 0 to visited - 1 do
+    let i = Array.unsafe_get a.cand p in
+    let d = a.depth.(i) in
+    if d <= budget && rows_disjoint a leader i then begin
+      let load = max_load a i + d in
+      if load <= budget then begin
+        set_load a i load;
+        a.touched.(a.n_touched) <- i;
+        a.n_touched <- a.n_touched + 1;
+        push_chosen a i;
+        incr padded;
+        take a i
+      end
+    end
+  done;
   for k = 0 to a.n_touched - 1 do
     set_load a a.touched.(k) 0
   done;
-  a.n_touched <- 0
+  a.n_touched <- 0;
+  !padded
 
-(* ---------- deterministic (optionally parallel) argmax ---------- *)
-
-(* Strict-greater scan over candidate positions [lo, hi): the FIRST
-   position attaining the maximum wins, matching the legacy sequential
-   tie-break.  Scores must be >= 0; the -1 sentinel makes the first
-   candidate always win the empty prefix. *)
-let rec argmax_seq score lo hi best_ov best_pos =
-  if lo >= hi then best_pos
-  else
-    let ov = score lo in
-    if ov > best_ov then argmax_seq score (lo + 1) hi ov lo
-    else argmax_seq score (lo + 1) hi best_ov best_pos
+(* ---------- fused leader scan ---------- *)
 
 (* Dispatching a parallel scan costs a few mutex hand-offs (~µs); below
    this many word-operations of scoring work the sequential scan is
    faster, and bit-identity makes the choice invisible. *)
 let par_threshold = 1 lsl 14
 
-(* First-maximum argmax over the [visited] collected candidates.
-   [score] must be pure (parallel chunk bodies may run it on worker
-   domains); [score_work] estimates the total scan cost in
-   word-operations and gates the parallel path.  Determinism argument:
-   chunks partition the position range in ascending order; each chunk
-   reports its local first maximum, and the ascending-order reduction
-   with a strict-greater test picks the globally first maximum — the
-   same position the sequential scan picks, independent of [jobs] and
-   of which domain ran which chunk. *)
-let argmax a ~jobs ~visited ~score_work score =
+(* First-maximum leader position over the [visited] collected
+   candidates; [score_work] estimates the scan cost in word-operations
+   and gates the parallel path.  Determinism argument: chunks partition
+   the position range in ascending order; each chunk reports its local
+   first maximum, and the ascending-order reduction with a
+   strict-greater test picks the globally first maximum — the same
+   position the sequential scan (one chunk over [0, visited)) picks,
+   independent of [jobs] and of which domain ran which chunk.
+
+   Dispatch allocates nothing: the chunk body is the arena's prebuilt
+   [par_body] closure reading its bounds from [par_visited]/
+   [par_chunks], the team handle is preallocated, and the release runs
+   from an exception match, which needs no closure — so the
+   coordinating domain's allocation counters do not depend on
+   [jobs]. *)
+let leader_argmax a ~jobs ~visited ~score_work =
   if visited = 0 then -1
-  else if jobs <= 1 || visited < 2 || score_work < par_threshold then
-    argmax_seq score 0 visited (-1) (-1)
   else
-    match Ph_exec.Team.try_acquire jobs with
-    | None -> argmax_seq score 0 visited (-1) (-1)
+    let team =
+      if jobs <= 1 || visited < 2 || score_work < par_threshold then None
+      else Ph_exec.Team.try_acquire jobs
+    in
+    match team with
+    | None ->
+      leader_chunk a 0 0 visited;
+      a.par_pos.(0)
     | Some team ->
-      Fun.protect
-        ~finally:(fun () -> Ph_exec.Team.release team)
-        (fun () ->
-          let chunks = min (Ph_exec.Team.jobs team) visited in
-          Ph_exec.Team.run team ~chunks (fun k ->
-              let lo = k * visited / chunks
-              and hi = (k + 1) * visited / chunks in
-              let pos = argmax_seq score lo hi (-1) (-1) in
-              a.par_pos.(k) <- pos;
-              a.par_ov.(k) <- if pos < 0 then -1 else score pos);
-          Ph_perf.Counter.bump Ph_perf.Counter.sched_par_scans;
-          let best_ov = ref (-1) and best_pos = ref (-1) in
-          for k = 0 to chunks - 1 do
-            if a.par_ov.(k) > !best_ov then begin
-              best_ov := a.par_ov.(k);
-              best_pos := a.par_pos.(k)
-            end
-          done;
-          !best_pos)
+      let chunks = min (Ph_exec.Team.jobs team) visited in
+      a.par_visited <- visited;
+      a.par_chunks <- chunks;
+      (match Ph_exec.Team.run team ~chunks a.par_body with
+      | () -> Ph_exec.Team.release team
+      | exception e ->
+        Ph_exec.Team.release team;
+        raise e);
+      Ph_perf.Counter.bump Ph_perf.Counter.sched_par_scans;
+      let best_ov = ref (-1) and best_pos = ref (-1) in
+      for k = 0 to chunks - 1 do
+        if a.par_ov.(k) > !best_ov then begin
+          best_ov := a.par_ov.(k);
+          best_pos := a.par_pos.(k)
+        end
+      done;
+      !best_pos
 
 (* Charge one scan's worth of overlap-kernel work to the coordinating
    domain: [scores] candidate scores were computed, each folding

@@ -11,13 +11,12 @@
     ([cand]idate window, [prev]ious-layer tails, [touched]/[chosen]
     stacks, the per-qubit load vector, parallel-reduction slots) is
     preallocated at {!build} and reused, so a scheduling round allocates
-    nothing beyond its output layer.  The row predicates ({!depth},
-    {!rows_disjoint}, {!max_load}, {!leader_score}) are pure reads —
-    no counter bumps, no scratch writes — so a fit test may evaluate its
-    conjuncts cheapest first and still leave every output and counter
-    unchanged.
+    nothing beyond its output layer.  The two round scans are fused
+    integer loops over those arrays: {!pad} (the padding fit test,
+    whose conjuncts are pure reads evaluated cheapest first) and
+    {!leader_argmax} (the leader scan, no score closure).
 
-    The optionally parallel {!argmax} partitions the candidate window
+    The optionally parallel {!leader_argmax} partitions the candidate window
     over {!Ph_exec.Team} worker domains; the ascending-chunk,
     strict-greater reduction returns the globally first maximum — the
     same choice as the sequential scan at any [jobs], so schedules,
@@ -45,9 +44,6 @@ val words : t -> int
 (** The term-sorted block at an arena index. *)
 val block : t -> int -> Block.t
 
-(** Estimated block depth ([Layer.est_block_depth]) at an arena index. *)
-val depth : t -> int -> int
-
 (** {1 Liveness} *)
 
 val n_alive : t -> int
@@ -68,27 +64,6 @@ val collect : t -> window:int -> int
 (** The arena index at a candidate position of the last {!collect}. *)
 val candidate : t -> int -> int
 
-(** {1 Row kernels} (allocation-free, counter-free, pure) *)
-
-(** Operator overlap between block [ti]'s tail string and block [hi]'s
-    head string. *)
-val overlap_tail_head : t -> int -> int -> int
-
-(** Best {!overlap_tail_head} of any previous-layer tail against block
-    [hi]'s head — the Algorithm-1 leader affinity. *)
-val leader_score : t -> int -> int
-
-(** Max accumulated load over a block's active qubits
-    ([Qubit_set.max_over] on arena rows). *)
-val max_load : t -> int -> int
-
-(** Store a load value over a block's active qubits
-    ([Qubit_set.set_over]). *)
-val set_load : t -> int -> int -> unit
-
-(** Active-support disjointness of two arena indices. *)
-val rows_disjoint : t -> int -> int -> bool
-
 (** {1 Round scratch} *)
 
 val reset_chosen : t -> unit
@@ -106,24 +81,26 @@ val n_prev : t -> int
 (** Set a single previous tail (the [Max_overlap] chain). *)
 val set_prev1 : t -> int -> unit
 
-val reset_touched : t -> unit
+(** {1 Scan kernels} *)
 
-val push_touched : t -> int -> unit
+(** [pad a ~leader ~visited] — DO padding over the [visited] candidates
+    of the last {!collect}: every live block that is support-disjoint
+    from [leader] and keeps its qubits' accumulated depth within the
+    leader's estimated depth ([Layer.est_block_depth]) is pushed to the
+    chosen stack and taken, in candidate order.  Returns the number padded.  Bumps no counter; the
+    caller charges the probes. *)
+val pad : t -> leader:int -> visited:int -> int
 
-(** Zero the load vector over every touched block's active qubits and
-    empty the stack. *)
-val clear_touched_loads : t -> unit
-
-(** {1 Deterministic argmax} *)
-
-(** [argmax a ~jobs ~visited ~score_work score] — position in
-    [0..visited-1] of the first maximum of [score] (which must be pure
-    and >= 0), or [-1] when [visited = 0].  Runs on the {!Ph_exec.Team}
-    when [jobs > 1], the work estimate [score_work] (in word-operations)
-    clears the dispatch threshold, and the team is free; falls back to
-    the bit-identical sequential scan otherwise. *)
-val argmax :
-  t -> jobs:int -> visited:int -> score_work:int -> (int -> int) -> int
+(** [leader_argmax a ~jobs ~visited ~score_work] — position in
+    [0..visited-1] of the first candidate of the last {!collect} whose
+    best operator overlap with any previous tail string (the
+    Algorithm-1 leader affinity) is maximal, or [-1] when
+    [visited = 0].  Runs on the {!Ph_exec.Team} when [jobs > 1], the
+    work estimate [score_work] (in word-operations) clears the dispatch
+    threshold, and the team is free; falls back to the bit-identical
+    sequential scan otherwise.  Allocates nothing on either path once
+    the team's workers exist ({!Ph_exec.Team.warm}). *)
+val leader_argmax : t -> jobs:int -> visited:int -> score_work:int -> int
 
 (** Charge [scores × per_score] overlap-kernel calls (of the arena's
     word width each) to the coordinating domain's counters — the exact

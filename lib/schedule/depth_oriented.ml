@@ -31,9 +31,8 @@ let schedule_stats ?rank ?(padding = true) ?(window = default_window)
         let visited = Arena.collect a ~window in
         let n_prev = Arena.n_prev a in
         let pos =
-          Arena.argmax a ~jobs ~visited
+          Arena.leader_argmax a ~jobs ~visited
             ~score_work:(visited * n_prev * Arena.words a)
-            (fun p -> Arena.leader_score a (Arena.candidate a p))
         in
         Ph_perf.Counter.add Ph_perf.Counter.sched_candidates visited;
         Arena.charge_overlap_kernel a ~scores:visited ~per_score:n_prev;
@@ -44,41 +43,11 @@ let schedule_stats ?rank ?(padding = true) ?(window = default_window)
     Arena.reset_chosen a;
     Arena.push_chosen a leader_idx;
     if padding && Arena.n_alive a > 0 then begin
-      (* Padding blocks may stack on the same qubits as each other
-         (their depths then add up per qubit) but never on the leader's;
-         a candidate fits while its qubit region's accumulated depth
-         stays within the leader's estimated depth.  The load vector is
-         dense per-qubit; only the slots touched this round are reset
-         afterwards.
-
-         The fit test runs its conjuncts cheapest first: the block's own
-         depth against the budget (one array read), then disjointness
-         from the leader (one AND per plane word), and only then the
-         per-qubit load walk over the candidate's set bits.  Loads are
-         non-negative, so [max_load + depth <= budget] implies the first
-         conjunct and the reordering accepts exactly the same blocks.
-         No conjunct may bump a counter or write scratch: a test that
-         short-circuits must leave no trace, which keeps layers and
-         every counter row identical to the unordered test. *)
-      let budget = Arena.depth a leader_idx in
-      Arena.reset_touched a;
+      (* Padding: disjoint blocks that fit under the leader's depth
+         budget join the layer ([Arena.pad] holds the fit test). *)
       let visited = Arena.collect a ~window in
-      for p = 0 to visited - 1 do
-        let i = Arena.candidate a p in
-        let d = Arena.depth a i in
-        if d <= budget && Arena.rows_disjoint a leader_idx i then begin
-          let load = Arena.max_load a i + d in
-          if load <= budget then begin
-            Arena.set_load a i load;
-            Arena.push_touched a i;
-            Arena.push_chosen a i;
-            incr n_padded;
-            Arena.take a i
-          end
-        end
-      done;
-      Ph_perf.Counter.add Ph_perf.Counter.sched_padding_probes visited;
-      Arena.clear_touched_loads a
+      n_padded := !n_padded + Arena.pad a ~leader:leader_idx ~visited;
+      Ph_perf.Counter.add Ph_perf.Counter.sched_padding_probes visited
     end;
     Arena.commit_prev a;
     incr n_layers;

@@ -6,7 +6,7 @@ let schedule ?rank ?(window = Depth_oriented.default_window) ?(jobs = 1) prog =
      order, so candidates stay similar to the current tail.  The arena
      keeps every candidate's head string as a bitplane row, so a visit
      is a word scan instead of a [Block.representative] pointer chase,
-     and the whole step is the shared deterministic argmax. *)
+     and the whole step is the shared fused leader scan. *)
   let a = Arena.build ?rank ~order:Arena.Lex prog in
   let m = Arena.size a in
   let out = ref [] in
@@ -16,10 +16,8 @@ let schedule ?rank ?(window = Depth_oriented.default_window) ?(jobs = 1) prog =
     let pos =
       if not have_tail then 0
       else
-        Arena.argmax a ~jobs ~visited
+        Arena.leader_argmax a ~jobs ~visited
           ~score_work:(visited * Arena.words a)
-          (fun p ->
-            Arena.leader_score a (Arena.candidate a p))
     in
     Ph_perf.Counter.bump Ph_perf.Counter.sched_leader_scans;
     Ph_perf.Counter.add Ph_perf.Counter.sched_candidates visited;

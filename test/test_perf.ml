@@ -39,43 +39,54 @@ let test_compile_twice_identical () =
 
 (* --- --sched-jobs byte-identity --- *)
 
-(* The whole normalized record — metrics, trace, and every perf counter
-   — must be byte-identical whatever the scan parallelism was. *)
-let test_sched_jobs_identical () =
-  let b = Ph_benchmarks.Suite.find "MgO" in
-  let prog = b.Ph_benchmarks.Suite.generate () in
-  let record sched_jobs =
-    let out =
-      Compiler.compile
-        (Config.ft ~schedule:Config.Depth_oriented ~sched_jobs ())
-        prog
-    in
-    let r =
-      {
-        Report.bench = "sched-jobs";
-        config = "ft/do";
-        qubits = Ph_pauli_ir.Program.n_qubits prog;
-        paulis = Ph_pauli_ir.Program.term_count prog;
-        metrics = out.Compiler.metrics;
-        trace = out.Compiler.trace;
-      }
-    in
-    Ph_json.to_string (Report.record_to_json (Report.normalize_record r))
+let sched_jobs_record prog sched_jobs =
+  let out =
+    Compiler.compile
+      (Config.ft ~schedule:Config.Depth_oriented ~sched_jobs ())
+      prog
   in
-  let base = record 1 in
-  List.iter
-    (fun jobs ->
-      check_str
-        (Printf.sprintf "--sched-jobs %d record byte-identical" jobs)
-        base (record jobs))
-    [ 4; 8 ]
+  let r =
+    {
+      Report.bench = "sched-jobs";
+      config = "ft/do";
+      qubits = Ph_pauli_ir.Program.n_qubits prog;
+      paulis = Ph_pauli_ir.Program.term_count prog;
+      metrics = out.Compiler.metrics;
+      trace = out.Compiler.trace;
+    }
+  in
+  Ph_json.to_string (Report.record_to_json (Report.normalize_record r))
 
-(* MgO (28 qubits, one plane word) never crosses the parallel-dispatch
-   work threshold, so the byte-identity above exercises only the
-   sequential gate.  This wide, dense workload provably dispatches to
-   the worker team (sched_par_scans is process-scoped, outside the
-   compile snapshot, so it can prove engagement without perturbing any
-   record) and still must match the sequential schedule exactly. *)
+(* The whole normalized record — metrics, trace, and every perf counter
+   — must be byte-identical whatever the scan parallelism was.  MgO
+   (28 qubits, one plane word) never crosses the parallel-dispatch work
+   threshold, so it checks only the sequential gate; the 256-qubit
+   random program dispatches on most leader scans, so it checks that a
+   dispatch (and the first one, which would spawn the worker domains)
+   leaves no trace in the record — allocation words included. *)
+let test_sched_jobs_identical () =
+  List.iter
+    (fun (name, prog) ->
+      let base = sched_jobs_record prog 1 in
+      List.iter
+        (fun jobs ->
+          check_str
+            (Printf.sprintf "%s: --sched-jobs %d record byte-identical" name
+               jobs)
+            base (sched_jobs_record prog jobs))
+        [ 4; 8 ])
+    [
+      "MgO", (Ph_benchmarks.Suite.find "MgO").Ph_benchmarks.Suite.generate ();
+      ( "random-256",
+        Ph_benchmarks.Random_h.program ~seed:556 ~density:0.046 ~n_qubits:256
+          () );
+    ]
+
+(* Byte-identity alone cannot tell a parallel scan from a sequential
+   fallback.  sched_par_scans is process-scoped, outside the compile
+   snapshot, so it proves that this wide, dense workload really
+   dispatches to the worker team without perturbing any record, and the
+   schedule must still match the sequential one exactly. *)
 let test_sched_jobs_parallel_engages () =
   let prog =
     Ph_benchmarks.Random_h.program ~seed:556 ~density:0.046 ~n_qubits:256 ()

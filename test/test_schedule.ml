@@ -417,19 +417,23 @@ let certificate prog layers =
     ~single:0 ~depth:0
     (List.map (fun l -> l.Layer.blocks) layers)
 
-let check_parity ~what ?window prog =
+let check_parity ~what ?window ?(jobs = [ 1 ]) prog =
   let old_do = Oracle.do_schedule ?window prog in
-  let new_do = Depth_oriented.schedule ?window prog in
-  check (what ^ ": DO layers identical") true
-    (layer_strings old_do = layer_strings new_do);
-  check (what ^ ": DO certificates identical") true
-    (certificate prog old_do = certificate prog new_do);
   let old_mo = Oracle.maxov_schedule ?window prog in
-  let new_mo = Max_overlap.schedule ?window prog in
-  check (what ^ ": maxov layers identical") true
-    (layer_strings old_mo = layer_strings new_mo);
-  check (what ^ ": maxov certificates identical") true
-    (certificate prog old_mo = certificate prog new_mo)
+  List.iter
+    (fun j ->
+      let what = if j = 1 then what else Printf.sprintf "%s (jobs %d)" what j in
+      let new_do = Depth_oriented.schedule ?window ~jobs:j prog in
+      check (what ^ ": DO layers identical") true
+        (layer_strings old_do = layer_strings new_do);
+      check (what ^ ": DO certificates identical") true
+        (certificate prog old_do = certificate prog new_do);
+      let new_mo = Max_overlap.schedule ?window ~jobs:j prog in
+      check (what ^ ": maxov layers identical") true
+        (layer_strings old_mo = layer_strings new_mo);
+      check (what ^ ": maxov certificates identical") true
+        (certificate prog old_mo = certificate prog new_mo))
+    jobs
 
 let test_arena_parity_table2 () =
   List.iter
@@ -446,6 +450,64 @@ let test_arena_parity_fuzz () =
     (* alternate a tiny window in so truncation paths get exercised *)
     let window = if case mod 3 = 0 then Some 4 else None in
     check_parity ~what:(Printf.sprintf "fuzz case %d" case) ?window prog
+  done
+
+(* A random string of weight 1-[max_weight] on [n] qubits. *)
+let sparse_string rand ~max_weight n =
+  Pauli_string.of_support n
+    (List.init
+       (1 + Random.State.int rand max_weight)
+       (fun _ ->
+         ( Random.State.int rand n,
+           List.nth [ Pauli.X; Pauli.Y; Pauli.Z ] (Random.State.int rand 3) )))
+
+(* The fused leader scan serves every plane width, so check it where
+   rows span several words: the 64- and 128-qubit scale programs; a
+   256-qubit program of short strings, whose wide padded layers push
+   the DO leader scans over the parallel-dispatch threshold (the scale
+   programs almost never cross it); and random programs of 63-130
+   qubits mixing dense strings (busy overlap kernel) with sparse ones
+   (padding fits), some under a tiny window — each sequentially and
+   with the parallel scan enabled. *)
+let test_arena_parity_wide () =
+  List.iter
+    (fun (b : Ph_benchmarks.Suite.t) ->
+      if List.mem b.Ph_benchmarks.Suite.name [ "UCCSD-64"; "UCCSD-128"; "Rand-64"; "Rand-128" ]
+      then
+        check_parity ~what:b.Ph_benchmarks.Suite.name ~jobs:[ 1; 4 ]
+          (b.Ph_benchmarks.Suite.generate ()))
+    (Ph_benchmarks.Suite.scale ());
+  let rand = Random.State.make [| 1616 |] in
+  let par_scans () =
+    List.assoc "sched_par_scans" (Ph_perf.Counter.totals_assoc ())
+  in
+  let before = par_scans () in
+  check_parity ~what:"short strings 256q" ~jobs:[ 1; 4 ]
+    (Program.make 256
+       (List.init 1200 (fun _ ->
+            Block.make
+              [ Pauli_term.make (sparse_string rand ~max_weight:4 256) 0.5 ]
+              (Block.fixed 0.7))));
+  check "short strings 256q: parallel scans ran" true (par_scans () > before);
+  for case = 1 to 100 do
+    let n = 63 + Random.State.int rand 68 in
+    let dense = gen_blocks n in
+    let blocks =
+      List.init
+        (1 + Random.State.int rand 40)
+        (fun _ ->
+          if Random.State.bool rand then List.hd (dense rand)
+          else
+            Block.make
+              (List.init
+                 (1 + Random.State.int rand 3)
+                 (fun _ -> Pauli_term.make (sparse_string rand ~max_weight:6 n) 0.5))
+              (Block.fixed 0.7))
+    in
+    let window = if case mod 3 = 0 then Some 4 else None in
+    check_parity
+      ~what:(Printf.sprintf "wide fuzz case %d (%dq)" case n)
+      ?window ~jobs:[ 1; 4 ] (Program.make n blocks)
   done
 
 (* The padding scan carries most of DO's time on ft-chem-sized inputs,
@@ -536,6 +598,8 @@ let () =
             test_arena_parity_fuzz;
           Alcotest.test_case "ft-chem-scale padding vs pr8 oracle" `Quick
             test_arena_parity_ft_chem;
+          Alcotest.test_case "multi-word widths vs list oracle" `Quick
+            test_arena_parity_wide;
           Alcotest.test_case "layers identical across jobs" `Quick
             test_arena_jobs_identical;
         ] );

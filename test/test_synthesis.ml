@@ -420,6 +420,136 @@ let test_ft_cancellation_across_padding () =
     true
     (Circuit.cnot_count optimized <= 10)
 
+(* The FT backend must reproduce the reference implementation kept in
+   [Ft_backend_ref] gate for gate, with the same rotation trace, in
+   every mode. *)
+let ft_matches_ref name layers =
+  let n_qubits =
+    match layers with
+    | l :: _ -> Block.n_qubits (Layer.leader l)
+    | [] -> 1
+  in
+  let summary (r : Emit.result) =
+    ( Circuit.gates r.circuit,
+      List.map (fun (s, t) -> Pauli_string.to_string s, t) r.rotations )
+  in
+  List.iter
+    (fun (mname, mode) ->
+      let got = summary (Ft_backend.synthesize ~mode ~n_qubits layers) in
+      let want = summary (Ft_backend_ref.synthesize ~mode ~n_qubits layers) in
+      check (Printf.sprintf "%s/%s matches the reference" name mname) true
+        (got = want))
+    [ "chain", `Chain; "pair", `Pair; "independent", `Independent ]
+
+let test_ft_matches_ref_table2 () =
+  List.iter
+    (fun (b : Ph_benchmarks.Suite.t) ->
+      let prog = b.Ph_benchmarks.Suite.generate () in
+      ft_matches_ref (b.Ph_benchmarks.Suite.name ^ "/do") (Depth_oriented.schedule prog);
+      ft_matches_ref (b.Ph_benchmarks.Suite.name ^ "/gco") (Gco.schedule prog))
+    (Ph_benchmarks.Suite.ft ())
+
+let test_ft_matches_ref_workloads () =
+  (* The shapes of the ft-chem and ft-wide benchmark workloads, under DO;
+     the wide ones span two to five plane words. *)
+  let open Ph_benchmarks in
+  List.iter
+    (fun (name, prog) -> ft_matches_ref name (Depth_oriented.schedule prog))
+    ([
+       "mol-20q", Molecule.synthetic ~seed:3 ~n_qubits:20 ~target_strings:1500 ();
+       "mol-28q", Molecule.synthetic ~seed:4 ~n_qubits:28 ~target_strings:3000 ();
+       "mol-36q", Molecule.synthetic ~seed:5 ~n_qubits:36 ~target_strings:6000 ();
+       "uccsd-64q", Uccsd.ansatz ~seed:6 ~max_singles:150 ~max_doubles:150 ~n_qubits:64 ();
+       "uccsd-96q", Uccsd.ansatz ~seed:7 ~max_singles:120 ~max_doubles:120 ~n_qubits:96 ();
+     ]
+    @ List.map
+        (fun n -> Printf.sprintf "rand-%dq" n, Random_h.program ~seed:n ~density:0.5 ~n_qubits:n ())
+        [ 30; 40; 50 ]
+    @ List.map
+        (fun (n, strings) ->
+          ( Printf.sprintf "rand-%dq-%d" n strings,
+            Random_h.program ~seed:n
+              ~density:(float_of_int strings /. float_of_int (n * n))
+              ~n_qubits:n () ))
+        [ 128, 80; 192, 60; 256, 40 ])
+
+(* Partners are searched at most [partner_window] + 1 strings away:
+   with 50 disjoint fillers between two strings sharing Z4 Z5 they are
+   partners (and chain those qubits first), with 51 they are not. *)
+let test_ft_matches_ref_partner_window () =
+  List.iter
+    (fun fillers ->
+      let strs =
+        ("IZZIIIX", 1.0)
+        :: List.init fillers (fun k ->
+               String.init 7 (fun c -> if c = 3 + (k mod 3) then 'Z' else 'I'), 0.5)
+        @ [ "IZZIIIY", 1.0 ]
+      in
+      ft_matches_ref
+        (Printf.sprintf "%d fillers" fillers)
+        (List.map Layer.of_block (Program.blocks (program_of_strings 7 strs))))
+    [ 49; 50; 51 ]
+
+(* Random programs whose strings draw their support from a small hot set
+   of qubits — often straddling a plane-word boundary — and often repeat
+   a neighbour's operators, so partners, matching prefixes and every
+   operator class occur; half the cases are 63-130 qubits wide. *)
+let ft_fuzz_program rand case =
+  let n =
+    if case mod 2 = 0 then 63 + Random.State.int rand 68
+    else 2 + Random.State.int rand 12
+  in
+  let hot =
+    Array.init (min n 12) (fun k ->
+        if n > 64 && k < 4 then 60 + k else Random.State.int rand n)
+  in
+  let ops = [| Pauli.X; Pauli.Y; Pauli.Z; Pauli.Z |] in
+  let fresh () =
+    let w = 1 + Random.State.int rand (Array.length hot) in
+    Pauli_string.of_support n
+      (List.sort_uniq
+         (fun (a, _) (b, _) -> Int.compare a b)
+         (List.init w (fun _ ->
+              ( hot.(Random.State.int rand (Array.length hot)),
+                ops.(Random.State.int rand 4) ))))
+  in
+  let last = ref (fresh ()) in
+  let next () =
+    let s =
+      if Random.State.int rand 3 = 0 then fresh ()
+      else
+        Pauli_string.with_ops !last
+          [ hot.(Random.State.int rand (Array.length hot)), ops.(Random.State.int rand 4) ]
+    in
+    last := s;
+    s
+  in
+  let blocks =
+    List.init
+      (1 + Random.State.int rand 30)
+      (fun _ ->
+        Block.make
+          (List.init
+             (1 + Random.State.int rand 4)
+             (fun _ -> Pauli_term.make (next ()) (0.1 +. Random.State.float rand 1.)))
+          (Block.fixed 0.3))
+  in
+  Program.make n blocks
+
+let test_ft_matches_ref_fuzz () =
+  let rand = Random.State.make [| 1617 |] in
+  for case = 1 to 300 do
+    let prog = ft_fuzz_program rand case in
+    let what = Printf.sprintf "fuzz case %d (%dq)" case (Program.n_qubits prog) in
+    let layers =
+      match case mod 3 with
+      | 0 -> Gco.schedule prog
+      | 1 -> Depth_oriented.schedule prog
+      | _ -> Depth_oriented.schedule ~window:4 prog
+    in
+    ft_matches_ref what layers
+  done
+
 (* --- Emit helpers --- *)
 
 let test_emit_angle () =
@@ -451,6 +581,14 @@ let () =
           qcheck prop_ft_correct_gco;
           qcheck prop_ft_correct_do;
           Alcotest.test_case "aggregate beats naive" `Quick test_ft_aggregate_beats_naive;
+          Alcotest.test_case "matches reference on table 2" `Quick
+            test_ft_matches_ref_table2;
+          Alcotest.test_case "matches reference on ft-chem/ft-wide shapes" `Quick
+            test_ft_matches_ref_workloads;
+          Alcotest.test_case "partner window edge matches reference" `Quick
+            test_ft_matches_ref_partner_window;
+          Alcotest.test_case "300-case fuzz matches reference" `Quick
+            test_ft_matches_ref_fuzz;
         ] );
       ( "sc",
         [
