@@ -11,15 +11,14 @@
    Pauli-frame verifier; rows are flagged with `!` if verification ever
    fails (it should not).
 
-   Machine-readable perf trajectory: append `--json FILE` to any table
-   run to also write every benchmark × config record (metrics plus the
-   per-stage compile trace) as a JSON array, and diff two such files with
+   Machine-readable records: append `--json FILE` to any table run to
+   also write every benchmark × config record (metrics plus the
+   per-stage compile trace) as a JSON array.  Counter trajectories
+   across commits live in `perf/history.csv`; `bench history compare`
+   diffs two commits or two such reports:
 
      dune exec bench/main.exe -- table2-ft --json new.json
-     dune exec bench/main.exe -- compare old.json new.json
-
-   Counter trajectories across commits live in `perf/history.csv`
-   (`bench history`), not in loose report files. *)
+     dune exec bench/main.exe -- history compare old.json new.json *)
 
 open Paulihedral
 open Ph_pauli_ir
@@ -61,8 +60,7 @@ let write_json path =
 
 (* At warn level the linter never fails a run; its findings and wall
    time land in the compile trace, so `--json` records carry
-   lint_errors / lint_warnings / lint_s and `compare` can report the
-   lint-time overhead between two reports. *)
+   lint_errors / lint_warnings / lint_s. *)
 let lint_enabled = ref false
 let lint_level () = if !lint_enabled then Lint.Diag.Warn else Lint.Diag.Off
 
@@ -209,8 +207,7 @@ let gap_col c =
   | Some _ | None -> "n/a"
 
 (* Per-metric geomeans of the achieved/floor ratios over every analyzed
-   cell of a table (cells without a defined ratio are skipped, same rule
-   as `compare`). *)
+   cell of a table (cells without a defined ratio are skipped). *)
 let gap_geomeans cells =
   let collect f =
     List.filter_map
@@ -238,8 +235,7 @@ let gap_geomeans cells =
 
 (* Geomean of the phoenix/GCO metric ratios over a table's merged cells,
    paired by benchmark — the headline "does the IR optimizer beat plain
-   GCO scheduling" number (rows where either side is 0 are skipped, same
-   rule as `compare`). *)
+   GCO scheduling" number (rows where either side is 0 are skipped). *)
 let phx_geomeans ~base_cfg ~phx_cfg ~base_name cells =
   let pairs =
     List.filter_map
@@ -748,254 +744,6 @@ let timing () =
         per_test)
     results
 
-(* ---------- compare: perf-trajectory deltas between two reports ---------- *)
-
-let load_records path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  List.map Report.record_of_json (Json.to_list (Json.parse s))
-
-let compare_reports ?fail_on a_path b_path =
-  let load path =
-    try load_records path
-    with
-    | Sys_error msg ->
-      Printf.eprintf "compare: %s\n" msg;
-      exit 1
-    | Json.Parse_error msg ->
-      Printf.eprintf "compare: %s: %s\n" path msg;
-      exit 1
-  in
-  let a = load a_path and b = load b_path in
-  Printf.printf "=== compare: %s (A) vs %s (B) ===\n" a_path b_path;
-  Printf.printf "%-14s %-22s %10s %10s %10s %10s %8s %8s %8s %8s %8s %8s\n"
-    "benchmark" "config" "cnot" "total" "depth" "time" "sched" "synth" "gc"
-    "lint" "gapA" "gapB";
-  let ratios_cnot = ref [] and ratios_total = ref [] in
-  let ratios_depth = ref [] and ratios_time = ref [] in
-  let ratios_sched = ref [] and ratios_synth = ref [] in
-  let ratios_gc = ref [] and ratios_lint = ref [] in
-  let ratios_gap = ref [] in
-  let matched = ref 0 in
-  (* Cells dropped from the geomeans because one side is zero or absent
-     (stage didn't run, metric predates the telemetry).  Skipping is
-     correct — a 0 → x cell has no meaningful ratio and would make the
-     geomean degenerate — but it must be visible, not silent. *)
-  let skipped = ref 0 in
-  let same (ra : Report.record) (rb : Report.record) =
-    rb.Report.bench = ra.Report.bench && rb.Report.config = ra.Report.config
-  in
-  List.iter
-    (fun (ra : Report.record) ->
-      match List.find_opt (same ra) b with
-      | None -> ()
-      | Some rb ->
-        incr matched;
-        let ma = ra.Report.metrics and mb = rb.Report.metrics in
-        let ratio accessor store =
-          let va = accessor ma and vb = accessor mb in
-          if va > 0. && vb > 0. then store := (vb /. va) :: !store
-          else incr skipped
-        in
-        ratio (fun (m : Report.metrics) -> float_of_int m.Report.cnot) ratios_cnot;
-        ratio (fun (m : Report.metrics) -> float_of_int m.Report.total) ratios_total;
-        ratio (fun (m : Report.metrics) -> float_of_int m.Report.depth) ratios_depth;
-        ratio (fun (m : Report.metrics) -> m.Report.seconds) ratios_time;
-        (* wall-time / allocation ratios of individual stages: defined
-           only when both reports have a nonzero measurement (the stage
-           ran, and the record postdates the telemetry) *)
-        let stage_ratio va vb store =
-          if va > 0. && vb > 0. then begin
-            store := (vb /. va) :: !store;
-            Printf.sprintf "%.2fx" (vb /. va)
-          end
-          else begin
-            incr skipped;
-            "-"
-          end
-        in
-        let sched =
-          stage_ratio ra.Report.trace.Report.schedule_s
-            rb.Report.trace.Report.schedule_s ratios_sched
-        in
-        let synth =
-          stage_ratio ra.Report.trace.Report.synthesis_s
-            rb.Report.trace.Report.synthesis_s ratios_synth
-        in
-        let gc =
-          stage_ratio
-            (Report.trace_gc_words ra.Report.trace)
-            (Report.trace_gc_words rb.Report.trace)
-            ratios_gc
-        in
-        let lint =
-          stage_ratio ra.Report.trace.Report.lint_s rb.Report.trace.Report.lint_s
-            ratios_lint
-        in
-        (* total-gap ratio of each side; "n/a" (never a fake 0.00) when a
-           record predates the analyzer or its floor is zero *)
-        let gap (r : Report.record) =
-          match r.Report.trace.Report.analysis with
-          | Some { Analysis.Gap.gap_total = Some g; _ } -> Some g
-          | Some _ | None -> None
-        in
-        let ga = gap ra and gb = gap rb in
-        (match ga, gb with
-        | Some ga, Some gb when ga > 0. && gb > 0. ->
-          ratios_gap := (gb /. ga) :: !ratios_gap
-        | _ -> incr skipped);
-        let gap_cell = function
-          | Some g -> Printf.sprintf "%.2fx" g
-          | None -> "n/a"
-        in
-        Printf.printf "%-14s %-22s %10s %10s %10s %9.2fx %8s %8s %8s %8s %8s %8s\n"
-          ra.Report.bench ra.Report.config
-          (pct ma.Report.cnot mb.Report.cnot)
-          (pct ma.Report.total mb.Report.total)
-          (pct ma.Report.depth mb.Report.depth)
-          (if ma.Report.seconds > 0. then mb.Report.seconds /. ma.Report.seconds
-           else nan)
-          sched synth gc lint (gap_cell ga) (gap_cell gb))
-    a;
-  (* Rows present in only one report used to vanish silently, hiding
-     added/removed benchmarks (and typoed config names) from the diff. *)
-  let only tag xs ys =
-    let missing =
-      List.filter (fun r -> not (List.exists (same r) ys)) xs
-    in
-    if missing <> [] then
-      Printf.printf "rows only in %s (%d): %s\n" tag (List.length missing)
-        (String.concat ", "
-           (List.map
-              (fun (r : Report.record) -> r.Report.bench ^ ":" ^ r.Report.config)
-              missing))
-  in
-  only "A" a b;
-  only "B" b a;
-  if !matched = 0 then begin
-    Printf.printf "no (benchmark, config) pairs in common\n";
-    1
-  end
-  else begin
-    let gm name = function
-      | [] -> Printf.printf "geomean %-8s (no data)\n" name
-      | rs -> Printf.printf "geomean %-8s %.3fx (B/A, %d rows)\n" name
-                (Report.geomean rs) (List.length rs)
-    in
-    print_newline ();
-    gm "cnot" !ratios_cnot;
-    gm "total" !ratios_total;
-    gm "depth" !ratios_depth;
-    gm "time" !ratios_time;
-    gm "sched" !ratios_sched;
-    gm "synth" !ratios_synth;
-    gm "gc" !ratios_gc;
-    gm "lint" !ratios_lint;
-    gm "gap" !ratios_gap;
-    if !skipped > 0 then
-      Printf.printf
-        "skipped %d zero/absent-valued cells across %d matched rows (not \
-         folded into geomeans)\n"
-        !skipped !matched;
-    match fail_on with
-    | None -> 0
-    | Some pct ->
-      (* Gate on the deterministic gate-count geomeans only — wall-clock
-         time is too noisy for a CI threshold. *)
-      let threshold = 1. +. (pct /. 100.) in
-      let regressed =
-        List.filter_map
-          (fun (name, rs) ->
-            if rs <> [] && Report.geomean rs > threshold then
-              Some (Printf.sprintf "%s %.3fx" name (Report.geomean rs))
-            else None)
-          [ "cnot", !ratios_cnot; "total", !ratios_total; "depth", !ratios_depth ]
-      in
-      if regressed = [] then begin
-        Printf.printf "regression gate: OK (threshold +%.1f%%)\n" pct;
-        0
-      end
-      else begin
-        Printf.printf "regression gate: FAILED (threshold +%.1f%%): %s\n" pct
-          (String.concat ", " regressed);
-        1
-      end
-  end
-
-(* ---------- fuzz: property-testing smoke entry ---------- *)
-
-let fuzz_entry args =
-  let open Ph_fuzz in
-  let cases, seed =
-    match args with
-    | c :: s :: _ -> int_of_string c, int_of_string s
-    | [ c ] -> int_of_string c, 42
-    | [] -> 100, 42
-  in
-  let cfg = { (Runner.default_config ()) with Runner.cases; seed } in
-  let summary = Runner.run ~log:prerr_endline cfg in
-  Runner.print_summary summary;
-  Printf.eprintf "elapsed: %.2fs\n" summary.Runner.seconds;
-  exit (if Runner.failure_count summary = 0 then 0 else 2)
-
-(* ---------- serve: daemon throughput / latency study ---------- *)
-
-(* Spins an in-process serve daemon (ephemeral port, workers from
-   --jobs, cache from --cache) and fires table-2 FT workloads at it
-   with the phc-bomb load generator.  Defaults to the Heisen-1D
-   workload; pass benchmark names to widen the set. *)
-let serve_bench ~clients ~rps ~duration filters =
-  let benches =
-    match List.filter (wanted filters) (Suite.ft ()) with
-    | benches when filters <> [] -> benches
-    | benches ->
-      List.filter (fun (b : Suite.t) -> b.Suite.name = "Heisen-1D") benches
-  in
-  if benches = [] then begin
-    prerr_endline "serve: no matching FT benchmarks";
-    exit 1
-  end;
-  let workloads =
-    List.map
-      (fun (b : Suite.t) ->
-        (* canonical text: numeric parameters, so the daemon-side parse
-           needs no bindings *)
-        Ph_serve.Bomb.workload ~name:b.Suite.name
-          (Ph_serve.Protocol.compile_request ~name:b.Suite.name ~backend:"ft"
-             (Ph_pool.Batch.canonical_text (b.Suite.generate ()))))
-      benches
-  in
-  let server =
-    Ph_serve.Server.start
-      (Ph_serve.Server.config ~jobs:!bench_jobs ~max_queue:256
-         ?cache:!bench_cache
-         ~log:(fun m -> Printf.eprintf "serve: %s\n%!" m)
-         (Ph_serve.Protocol.Tcp ("127.0.0.1", 0)))
-  in
-  Printf.printf "\n=== serve: %d client(s), %d worker(s), %.0fs%s ===\n%!"
-    clients !bench_jobs duration
-    (if rps > 0. then Printf.sprintf ", %.0f rps target" rps else "");
-  List.iter
-    (fun (w : Ph_serve.Bomb.workload) ->
-      Printf.printf "workload: %s\n" w.Ph_serve.Bomb.w_name)
-    workloads;
-  let summary =
-    Ph_serve.Bomb.run
-      ~address:(Ph_serve.Server.address server)
-      ~clients ~rps ~duration_s:duration workloads
-  in
-  Ph_serve.Bomb.print_summary stdout summary;
-  Ph_serve.Server.drain server;
-  exit
-    (if
-       summary.Ph_serve.Bomb.failed = 0
-       && summary.Ph_serve.Bomb.transport_errors = 0
-       && summary.Ph_serve.Bomb.mismatches = 0
-       && summary.Ph_serve.Bomb.ok > 0
-     then 0
-     else 1)
-
 (* ---------- scale: the scheduler-scaling study ---------- *)
 
 (* DO and PHX compiles of the 64-256 qubit scale suite (FT backend),
@@ -1050,9 +798,6 @@ let experiments =
 let usage () =
   prerr_endline
     "usage: main.exe [table1|table2-sc|table2-ft|table3|table4-sched|table4-bc|fig11|ablation|scale|timing] [benchmark names...] [--json FILE] [--lint] [--jobs N] [--sched-jobs N] [--cache DIR]\n\
-    \       main.exe compare A.json B.json [--fail-on-regression PCT]\n\
-    \       main.exe fuzz [CASES] [SEED]\n\
-    \       main.exe serve [benchmark names...] [--clients N] [--rps R] [--duration S] [--jobs N] [--cache DIR]\n\
     \       main.exe history record --commit LABEL [--db FILE] [--suite ft|sc|scale|all] [--jobs N]\n\
     \       main.exe history import FILE.json --commit LABEL [--db FILE]\n\
     \       main.exe history show [--db FILE] [--counter NAME] [--last N]\n\
@@ -1126,6 +871,23 @@ let history_records suite =
 
 let rows_of_records ~commit records =
   List.concat_map (Report.perf_rows ~commit) records
+
+(* Records of a bench --json report.  A missing or malformed file is a
+   usage error of `history import|compare`, not a crash. *)
+let load_records path =
+  let fail msg =
+    (* the Sys_error of a failed open already names the file *)
+    let msg =
+      if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg
+    in
+    Printf.eprintf "history: %s\n" msg;
+    exit 1
+  in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> fail msg
+  | s -> (
+    try List.map Report.record_of_json (Json.to_list (Json.parse s))
+    with Json.Parse_error msg -> fail msg)
 
 (* A comparison operand is either a commit label in the db or a path to
    a bench --json report (rows synthesized under the file name). *)
@@ -1333,30 +1095,9 @@ let () =
   (match cache_dir with
   | Some dir -> bench_cache := Some (Ph_pool.Cache.create ~dir ())
   | None -> ());
-  let fail_on, args = extract_opt "--fail-on-regression" [] args in
-  let fail_on =
-    Option.map
-      (fun s ->
-        match float_of_string_opt s with Some f -> f | None -> usage ())
-      fail_on
-  in
   json_enabled := json_path <> None;
   (match args with
-  | "compare" :: a :: b :: _ -> exit (compare_reports ?fail_on a b)
-  | "compare" :: _ -> usage ()
   | "history" :: rest -> exit (history_entry rest)
-  | "fuzz" :: rest -> fuzz_entry rest
-  | "serve" :: rest ->
-    let num key default rest =
-      match extract_opt key [] rest with
-      | None, rest -> default, rest
-      | Some s, rest ->
-        (match float_of_string_opt s with Some f when f > 0. -> f, rest | _ -> usage ())
-    in
-    let clients, rest = num "--clients" 4. rest in
-    let rps, rest = num "--rps" 0. rest in
-    let duration, rest = num "--duration" 5. rest in
-    serve_bench ~clients:(int_of_float clients) ~rps ~duration rest
   | "timing" :: _ -> timing ()
   | name :: filters when List.mem_assoc name experiments ->
     (List.assoc name experiments) filters

@@ -41,21 +41,32 @@ let schedule_layers config prog =
     let layers = List.map Layer.of_block (Program.blocks prog) in
     layers, (List.length layers, 0)
 
+(* [staged f] runs one compile stage: its result, wall time and the
+   minor-heap words it allocated.  [Gc.minor_words] reads the calling
+   domain's allocation pointer, so the count is exact and reproducible
+   for a fixed compiler binary. *)
+let staged f =
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let dt = Unix.gettimeofday () -. t0 in
+  r, dt, int_of_float (Gc.minor_words () -. w0)
+
 (* Accumulator for the verify-each checkers: when linting is enabled,
    [run] times one checker and appends its findings in stage order. *)
 type lint_acc = {
   enabled : bool;
   mutable diags : Ph_lint.Diag.t list;
   mutable seconds : float;
-  mutable gc : Report.gc_delta;
+  mutable words : int;
 }
 
 let lint_run acc check =
   if acc.enabled then begin
-    let diags, dt, gc = Report.timed_gc check in
+    let diags, dt, words = staged check in
     acc.diags <- acc.diags @ diags;
     acc.seconds <- acc.seconds +. dt;
-    acc.gc <- Report.gc_add acc.gc gc
+    acc.words <- acc.words + words
   end
 
 let compile config prog =
@@ -88,7 +99,7 @@ let compile config prog =
       enabled = config.Config.lint <> Ph_lint.Diag.Off;
       diags = [];
       seconds = 0.;
-      gc = Report.empty_gc;
+      words = 0;
     }
   in
   (* stage -1: the configuration itself *)
@@ -108,12 +119,12 @@ let compile config prog =
      this point (scheduling, lint, the certificate) sees the rewritten
      program; the optimizer's own time and allocation are reported
      separately and fold into the schedule stage totals. *)
-  let opt, opt_s, opt_gc =
+  let opt, opt_s, opt_words =
     match config.Config.schedule with
     | Config.Phoenix_like ->
-      let o, s, gc = Report.timed_gc (fun () -> Ph_opt.Pass.run prog) in
-      Some o, s, gc
-    | _ -> None, 0., Report.empty_gc
+      let o, s, words = staged (fun () -> Ph_opt.Pass.run prog) in
+      Some o, s, words
+    | _ -> None, 0., 0
   in
   let sched_program =
     match opt with Some o -> o.Ph_opt.Pass.program | None -> prog
@@ -122,22 +133,22 @@ let compile config prog =
   | Some o -> lint_run acc (fun () -> Ph_lint.Check_ir.program o.Ph_opt.Pass.program)
   | None -> ());
   (* stage 1: block scheduling *)
-  let (layers, (sched_layers, sched_padded)), schedule_s, schedule_gc =
-    Report.timed_gc (fun () -> schedule_layers config sched_program)
+  let (layers, (sched_layers, sched_padded)), schedule_s, schedule_words =
+    staged (fun () -> schedule_layers config sched_program)
   in
   lint_run acc (fun () -> Ph_lint.Check_schedule.check ~program:sched_program layers);
   let peephole c =
     if config.Config.peephole then
-      Report.timed_gc (fun () -> Peephole.optimize_stats c)
-    else (c, { Peephole.removed = 0; rounds = 0 }), 0., Report.empty_gc
+      staged (fun () -> Peephole.optimize_stats c)
+    else (c, { Peephole.removed = 0; rounds = 0 }), 0., 0
   in
   (* stage 2+3: backend synthesis (plus hardware replay on SC), then the
      generic cleanup *)
-  let circuit, rotations, initial_layout, final_layout, timings, gcs, counters =
+  let circuit, rotations, initial_layout, final_layout, timings, words, counters =
     match config.Config.backend with
     | Config.Ft ->
-      let r, synthesis_s, synthesis_gc =
-        Report.timed_gc (fun () ->
+      let r, synthesis_s, synthesis_words =
+        staged (fun () ->
             match opt with
             | Some o ->
               Ph_opt.Phoenix_backend.synthesize_ft
@@ -145,13 +156,13 @@ let compile config prog =
             | None -> Ft_backend.synthesize ~n_qubits:(Program.n_qubits prog) layers)
       in
       lint_run acc (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
-      let (c, pstats), peephole_s, peephole_gc = peephole r.Emit.circuit in
+      let (c, pstats), peephole_s, peephole_words = peephole r.Emit.circuit in
       ( c,
         r.Emit.rotations,
         None,
         None,
         (schedule_s, synthesis_s, 0., peephole_s),
-        (synthesis_gc, Report.empty_gc, peephole_gc),
+        (synthesis_words, 0, peephole_words),
         {
           Report.sched_layers;
           sched_padded;
@@ -161,8 +172,8 @@ let compile config prog =
           peephole_rounds = pstats.Peephole.rounds;
         } )
     | Config.Sc { coupling; noise } ->
-      let r, synthesis_s, synthesis_gc =
-        Report.timed_gc (fun () ->
+      let r, synthesis_s, synthesis_words =
+        staged (fun () ->
             match opt with
             | Some o ->
               (* a noise model only disables caching upstream; the
@@ -178,16 +189,16 @@ let compile config prog =
           Ph_lint.Check_sc.check ~coupling ~initial:r.Sc_backend.initial_layout
             ~final:r.Sc_backend.final_layout ~claimed_swaps:r.Sc_backend.swaps
             r.Sc_backend.circuit);
-      let c, swap_decompose_s, swap_gc =
-        Report.timed_gc (fun () -> Circuit.decompose_swaps r.Sc_backend.circuit)
+      let c, swap_decompose_s, swap_words =
+        staged (fun () -> Circuit.decompose_swaps r.Sc_backend.circuit)
       in
-      let (c, pstats), peephole_s, peephole_gc = peephole c in
+      let (c, pstats), peephole_s, peephole_words = peephole c in
       ( c,
         r.Sc_backend.rotations,
         Some r.Sc_backend.initial_layout,
         Some r.Sc_backend.final_layout,
         (schedule_s, synthesis_s, swap_decompose_s, peephole_s),
-        (synthesis_gc, swap_gc, peephole_gc),
+        (synthesis_words, swap_words, peephole_words),
         {
           Report.sched_layers;
           sched_padded;
@@ -201,8 +212,8 @@ let compile config prog =
          generic peephole stage is not run (Config.ion_trap defaults
          [peephole = false], and CFG001 warns when a config claims
          otherwise) *)
-      let r, synthesis_s, synthesis_gc =
-        Report.timed_gc (fun () ->
+      let r, synthesis_s, synthesis_words =
+        staged (fun () ->
             Ion_trap.synthesize ~n_qubits:(Program.n_qubits prog) layers)
       in
       lint_run acc (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
@@ -211,7 +222,7 @@ let compile config prog =
         None,
         None,
         (schedule_s, synthesis_s, 0., 0.),
-        (synthesis_gc, Report.empty_gc, Report.empty_gc),
+        (synthesis_words, 0, 0),
         {
           Report.empty_counters with
           Report.sched_layers;
@@ -233,10 +244,10 @@ let compile config prog =
       Ph_lint.Check_frame.check ?layouts ~rotations circuit);
   let schedule_s, synthesis_s, swap_decompose_s, peephole_s = timings in
   (* the optimizer is part of the scheduling family's work; its time
-     folds into the schedule stage total (the "opt" gc entry keeps its
-     allocation separately attributable) *)
+     folds into the schedule stage total (the [alloc_opt_words] entry
+     keeps its allocation separately attributable) *)
   let schedule_s = opt_s +. schedule_s in
-  let synthesis_gc, swap_gc, peephole_gc = gcs in
+  let synthesis_words, swap_words, peephole_words = words in
   let metrics = Report.of_circuit circuit in
   (* stage 5 (opt-in): the static analyzer — bounds and gap diagnostics
      run inside the compile window so their work counters land in
@@ -245,8 +256,8 @@ let compile config prog =
      [lint_s] alongside the other checkers *)
   let analysis =
     if config.Config.analyze then begin
-      let (summary, diags), ana_s, ana_gc =
-        Report.timed_gc (fun () ->
+      let (summary, diags), ana_s, ana_words =
+        staged (fun () ->
             let bounds = Ph_analysis.Bounds.of_program prog in
             let summary =
               Ph_analysis.Gap.summarize ~cnot:metrics.Report.cnot
@@ -259,27 +270,24 @@ let compile config prog =
       in
       acc.diags <- acc.diags @ diags;
       acc.seconds <- acc.seconds +. ana_s;
-      acc.gc <- Report.gc_add acc.gc ana_gc;
+      acc.words <- acc.words + ana_words;
       Some summary
     end
     else None
   in
   let seconds = Unix.gettimeofday () -. t0 in
   let perf1 = Ph_perf.Counter.snapshot () in
-  (* Minor-heap words are an exact count of the calling domain's
-     allocation, so the [alloc_*] entries are reproducible for a fixed
-     compiler binary; they still shift across compiler versions, which
-     is why [Counter.gated] excludes them from the regression gate. *)
-  let alloc (g : Report.gc_delta) = int_of_float g.Report.minor_words in
+  (* The [alloc_*] entries shift across compiler versions, which is
+     why [Counter.gated] excludes them from the regression gate. *)
   let perf =
     Ph_perf.Counter.compile_assoc ~before:perf0 ~after:perf1
     @ [
-        "alloc_opt_words", alloc opt_gc;
-        "alloc_schedule_words", alloc schedule_gc;
-        "alloc_synthesis_words", alloc synthesis_gc;
-        "alloc_swap_words", alloc swap_gc;
-        "alloc_peephole_words", alloc peephole_gc;
-        "alloc_lint_words", alloc acc.gc;
+        "alloc_opt_words", opt_words;
+        "alloc_schedule_words", schedule_words;
+        "alloc_synthesis_words", synthesis_words;
+        "alloc_swap_words", swap_words;
+        "alloc_peephole_words", peephole_words;
+        "alloc_lint_words", acc.words;
       ]
   in
   (* The certificate is built outside the perf window: digesting blocks
@@ -315,15 +323,6 @@ let compile config prog =
         lint_s = acc.seconds;
         counters;
         lint = acc.diags;
-        gc =
-          [
-            "opt", opt_gc;
-            "schedule", schedule_gc;
-            "synthesis", synthesis_gc;
-            "swap_decompose", swap_gc;
-            "peephole", peephole_gc;
-            "lint", acc.gc;
-          ];
         perf;
         analysis;
       };

@@ -47,7 +47,6 @@ let baseline_trace ?(synthesis_s = 0.) ?(swap_decompose_s = 0.) ?(peephole_s = 0
     peephole_s;
     lint_s = 0.;
     lint = [];
-    gc = [];
     perf = [];
     analysis = None;
     counters =

@@ -24,44 +24,6 @@ let timed f =
   let r = f () in
   r, Unix.gettimeofday () -. t0
 
-(* ---------- GC / allocation telemetry ---------- *)
-
-type gc_delta = {
-  minor_words : float;
-  major_words : float;
-  major_collections : int;
-}
-
-let empty_gc = { minor_words = 0.; major_words = 0.; major_collections = 0 }
-
-let gc_add a b =
-  {
-    minor_words = a.minor_words +. b.minor_words;
-    major_words = a.major_words +. b.major_words;
-    major_collections = a.major_collections + b.major_collections;
-  }
-
-(* Allocated words: the pressure number `bench compare` ratios. *)
-let gc_words g = g.minor_words +. g.major_words
-
-(* [Gc.quick_stat] counters only flush at GC sync points on OCaml 5, so
-   a short stage can read a zero delta; [Gc.minor_words ()] samples the
-   live allocation pointer of the calling domain and is exact. *)
-let timed_gc f =
-  let g0 = Gc.quick_stat () in
-  let mw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  let g1 = Gc.quick_stat () in
-  ( r,
-    dt,
-    {
-      minor_words = Gc.minor_words () -. mw0;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words;
-      major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
-    } )
-
 let delta a b =
   if a = 0 then nan else 100. *. float_of_int (b - a) /. float_of_int a
 
@@ -98,7 +60,6 @@ type trace = {
   lint_s : float;
   counters : pass_counters;
   lint : Ph_lint.Diag.t list;
-  gc : (string * gc_delta) list;
   perf : (string * int) list;
       (* deterministic work counters ([Ph_perf.Counter] compile-scope
          deltas plus per-stage [alloc_*_words] ints), in fixed order *)
@@ -126,13 +87,9 @@ let empty_trace =
     lint_s = 0.;
     counters = empty_counters;
     lint = [];
-    gc = [];
     perf = [];
     analysis = None;
   }
-
-let trace_gc_words t =
-  List.fold_left (fun acc (_, g) -> acc +. gc_words g) 0. t.gc
 
 type record = {
   bench : string;
@@ -154,21 +111,6 @@ let counters_to_json (c : pass_counters) =
       "peephole_rounds", Json.Int c.peephole_rounds;
     ]
 
-let gc_delta_to_json (g : gc_delta) =
-  Json.Obj
-    [
-      "minor_words", Json.Float g.minor_words;
-      "major_words", Json.Float g.major_words;
-      "major_collections", Json.Int g.major_collections;
-    ]
-
-let gc_delta_of_json j =
-  {
-    minor_words = Json.to_float (Json.get "minor_words" j);
-    major_words = Json.to_float (Json.get "major_words" j);
-    major_collections = Json.to_int (Json.get "major_collections" j);
-  }
-
 let trace_to_json (t : trace) =
   Json.Obj
     ([
@@ -181,7 +123,6 @@ let trace_to_json (t : trace) =
        "lint_errors", Json.Int (List.length (Ph_lint.Diag.errors t.lint));
        "lint_warnings", Json.Int (List.length (Ph_lint.Diag.warnings t.lint));
        "lint", Json.List (List.map Ph_lint.Diag.to_json t.lint);
-       "gc", Json.Obj (List.map (fun (s, g) -> s, gc_delta_to_json g) t.gc);
        "perf", Json.Obj (List.map (fun (k, v) -> k, Json.Int v) t.perf);
      ]
     (* emitted only when present, so pre-analysis reports and
@@ -212,7 +153,7 @@ let counters_of_json j =
     sched_layers = int "sched_layers";
     sched_padded = int "sched_padded";
     (* absent from pre-window reports (PR ≤ 3); default so old bench
-       JSON files still load in [bench compare] *)
+       JSON files still load in [bench history] *)
     sched_window =
       (match Json.member "sched_window" j with Some v -> Json.to_int v | None -> 0);
     sc_swaps = int "sc_swaps";
@@ -228,21 +169,16 @@ let trace_of_json j =
     swap_decompose_s = f "swap_decompose_s";
     peephole_s = f "peephole_s";
     (* lint fields are absent from pre-lint reports; default so old
-       bench JSON files still load in [bench compare] *)
+       bench JSON files still load in [bench history] *)
     lint_s = (match Json.member "lint_s" j with Some v -> Json.to_float v | None -> 0.);
     counters = counters_of_json (Json.get "counters" j);
     lint =
       (match Json.member "lint" j with
       | Some v -> List.map Ph_lint.Diag.of_json (Json.to_list v)
       | None -> []);
-    (* absent from pre-pool reports (PR ≤ 4) *)
-    gc =
-      (match Json.member "gc" j with
-      | Some (Json.Obj fields) ->
-        List.map (fun (s, g) -> s, gc_delta_of_json g) fields
-      | Some _ -> raise (Json.Parse_error "trace gc: expected object")
-      | None -> []);
-    (* absent from pre-perf reports (PR ≤ 6) *)
+    (* absent from pre-perf reports (PR ≤ 6).  A legacy "gc" member
+       (per-stage heap deltas older records carry) is ignored, so old
+       reports and cache payloads still load. *)
     perf =
       (match Json.member "perf" j with
       | Some (Json.Obj fields) ->
@@ -294,7 +230,6 @@ let normalize_record (r : record) =
         swap_decompose_s = 0.;
         peephole_s = 0.;
         lint_s = 0.;
-        gc = [];
       };
   }
 

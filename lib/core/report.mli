@@ -18,32 +18,6 @@ val of_circuit : ?seconds:float -> Circuit.t -> metrics
 (** [timed f] runs [f ()] and returns its result with the elapsed time. *)
 val timed : (unit -> 'a) -> 'a * float
 
-(** {1 GC / allocation telemetry} *)
-
-(** [Gc.quick_stat] deltas around one pass: words allocated in the minor
-    and major heaps and major collections triggered.  Under the domain
-    pool the numbers are attributed to the domain that ran the pass but
-    [Gc.quick_stat] aggregates some counters process-wide, so pooled
-    runs are approximate; single-domain runs are exact. *)
-type gc_delta = {
-  minor_words : float;
-  major_words : float;
-  major_collections : int;
-}
-
-val empty_gc : gc_delta
-val gc_add : gc_delta -> gc_delta -> gc_delta
-
-(** Total words allocated ([minor_words + major_words]) — the allocation
-    pressure number [bench compare] ratios between reports. *)
-val gc_words : gc_delta -> float
-
-(** [timed_gc f] — {!timed} plus the {!gc_delta} of the call. *)
-val timed_gc : (unit -> 'a) -> 'a * float * gc_delta
-
-val gc_delta_to_json : gc_delta -> Json.t
-val gc_delta_of_json : Json.t -> gc_delta
-
 (** [delta a b] — percentage change of [b] relative to [a]
     ([(b − a) / a · 100]); [nan] when [a = 0]. *)
 val delta : int -> int -> float
@@ -86,15 +60,11 @@ type trace = {
   counters : pass_counters;
   lint : Ph_lint.Diag.t list;  (** stage order: config, IR, schedule,
                                    synthesis, hardware, final circuit *)
-  gc : (string * gc_delta) list;
-      (** per-stage allocation deltas in stage order
-          ([schedule]/[synthesis]/[swap_decompose]/[peephole]/[lint]);
-          [[]] in records predating the telemetry (PR ≤ 4) and in
-          baseline-stage traces *)
   perf : (string * int) list;
       (** deterministic work counters: the [Ph_perf.Counter]
           compile-scope deltas sampled by [Compiler.compile] plus the
-          per-stage [alloc_*_words] integers, in fixed declaration
+          per-stage [alloc_*_words] (minor-heap words the compiling
+          domain allocated in each stage), in fixed declaration
           order.  Bit-identical across runs, [--jobs] settings and
           machines; [[]] in records predating the subsystem (PR ≤ 6)
           and in baseline-stage traces *)
@@ -107,9 +77,6 @@ type trace = {
 
 val empty_counters : pass_counters
 val empty_trace : trace
-
-(** Total words allocated across all stages of the trace. *)
-val trace_gc_words : trace -> float
 
 (** One row of a machine-readable bench report: benchmark × config
     identity, program size, end metrics and the per-stage trace. *)
@@ -126,16 +93,18 @@ val counters_to_json : pass_counters -> Json.t
 val trace_to_json : trace -> Json.t
 val record_to_json : record -> Json.t
 
-(** Inverses of the encoders, for [bench compare].
+(** Inverses of the encoders, for [bench history] and cache payloads.
+    Members added since the first report default when absent; a legacy
+    ["gc"] member is ignored.
     @raise Json.Parse_error on schema mismatch. *)
 
 val trace_of_json : Json.t -> trace
 
 val record_of_json : Json.t -> record
 
-(** Zero every wall-clock and GC field of the record (metrics seconds,
-    per-stage timings, allocation deltas), leaving only data that is a
-    pure function of (program, config).  The batch service reports
+(** Zero every wall-clock field of the record (metrics seconds and
+    per-stage timings), leaving only data that is a pure function of
+    (program, config).  The batch service reports
     normalized records by default so [--jobs N] output is byte-identical
     to [--jobs 1] and to a warm-cache rerun.  [trace.perf] is kept:
     the counters are deterministic, so byte-identity checks over

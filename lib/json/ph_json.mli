@@ -1,6 +1,6 @@
 (** Minimal dependency-free JSON tree: just enough for the bench
     harness's machine-readable perf reports ({!Report.record_to_json})
-    and their round-trip in [bench compare].  Strings are byte
+    and their round-trip in [bench history].  Strings are byte
     sequences; [\u] escapes decode to UTF-8. *)
 
 exception Parse_error of string

@@ -76,7 +76,8 @@ let tokenize src =
       done;
       let text = String.sub src start (!i - start) in
       match float_of_string_opt text with
-      | Some f -> push (Num f) p
+      | Some f when Float.is_finite f -> push (Num f) p
+      | Some _ -> fail_at p "number %S is not finite" text
       | None -> fail_at p "bad number %S" text
     end
     else if is_ident_char c then begin
@@ -106,10 +107,15 @@ let parse ?(params = []) ?default src =
   let peek () = match !toks with [] -> None | t :: _ -> Some t in
   let peek_pos () = match !toks with [] -> eof_pos | (_, p) :: _ -> p in
   let lookup pos name =
-    match List.assoc_opt name params, default with
-    | Some v, _ -> v
-    | None, Some d -> d
-    | None, None -> fail_at pos "unbound parameter %S" name
+    let v =
+      match List.assoc_opt name params, default with
+      | Some v, _ -> v
+      | None, Some d -> d
+      | None, None -> fail_at pos "unbound parameter %S" name
+    in
+    if Float.is_finite v then v
+    else fail_at pos "parameter %S is bound to %s, not a finite number" name
+        (Float.to_string v)
   in
   let expect t what =
     let got, pos = next () in

@@ -17,8 +17,10 @@ exception Parse_error of string
 
 (** [parse ?params src] parses a program.  Identifier parameters are
     looked up in [params]; unknown identifiers raise {!Parse_error}
-    unless [default] is given.  Qubit count is inferred from the first
-    Pauli string.
+    unless [default] is given.  Every weight and parameter value must be
+    finite: a literal such as [1e400], or a binding or [default] that is
+    [nan] or infinite, raises {!Parse_error}.  Qubit count is inferred
+    from the first Pauli string.
     @raise Parse_error on malformed input. *)
 val parse : ?params:(string * float) list -> ?default:float -> string -> Program.t
 

@@ -1,4 +1,4 @@
-(** Load generator for the compile daemon ([phc bomb], [bench serve]).
+(** Load generator for the compile daemon ([phc bomb]).
 
     [clients] threads each hold one connection and fire the workload
     list round-robin, throttled to an aggregate [rps] (each client paces

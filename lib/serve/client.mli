@@ -2,7 +2,7 @@
 
     One connection, requests answered strictly in order (the daemon
     guarantees per-connection ordering), so a call is: send one line,
-    read one line.  Used by [phc bomb], [bench serve] and the tests. *)
+    read one line.  Used by [phc bomb] and the tests. *)
 
 type t
 

@@ -211,6 +211,38 @@ let test_parse_error_positions () =
     "line 1, column 13: unbound parameter \"omega\""
     (message "{(ZZ, 1.0), omega};")
 
+(* Weights and parameters must be finite: a non-finite value would
+   otherwise reach the compiler and fail only at verification. *)
+let test_parse_non_finite () =
+  let message ?params ?default s =
+    match Parser.parse ?params ?default s with
+    | exception Parser.Parse_error msg -> msg
+    | _ -> Alcotest.fail "expected Parse_error"
+  in
+  Alcotest.(check string) "overflowing weight literal"
+    "line 1, column 7: number \"1e400\" is not finite"
+    (message "{(XX, 1e400), 1};");
+  Alcotest.(check string) "overflowing parameter literal"
+    "line 1, column 13: number \"-1e999\" is not finite"
+    (message "{(XX, 0.5), -1e999};");
+  List.iter
+    (fun (v, shown) ->
+      Alcotest.(check string) ("binding " ^ shown)
+        (Printf.sprintf
+           "line 2, column 13: parameter \"t\" is bound to %s, not a finite \
+            number"
+           shown)
+        (message ~params:[ "t", v ] "{(ZZ, 1.0), 0.1};\n{(XX, 0.5), t};"))
+    [ Float.nan, "nan"; Float.infinity, "inf"; Float.neg_infinity, "-inf" ];
+  Alcotest.(check string) "non-finite default names the parameter"
+    "line 1, column 13: parameter \"omega\" is bound to inf, not a finite \
+     number"
+    (message ~default:Float.infinity "{(ZZ, 1.0), omega};");
+  check "unused non-finite binding is harmless" true
+    (match Parser.parse ~params:[ "t", Float.nan ] "{(ZZ, 1.0), 0.1};" with
+    | _ -> true
+    | exception Parser.Parse_error _ -> false)
+
 let test_parse_numeric_forms () =
   let prog = Parser.parse "{(ZZ, 1e-3), 2.5e2}; {(XX, -0.5), -1.25};" in
   match Program.rotations prog with
@@ -315,6 +347,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error positions" `Quick test_parse_error_positions;
           Alcotest.test_case "numeric forms" `Quick test_parse_numeric_forms;
+          Alcotest.test_case "non-finite numbers" `Quick test_parse_non_finite;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
         ] );
       ( "trotter",

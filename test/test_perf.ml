@@ -181,6 +181,59 @@ let test_record_json_round_trip () =
   check "old JSON still parses, perf defaults to []" true
     ((Report.record_of_json old).Report.trace.Report.perf = [])
 
+(* Records and cache payloads written before the per-stage heap deltas
+   were dropped carry a "gc" object in their trace, in exactly this
+   shape.  They must still load, and re-serialize without it. *)
+let legacy_gc =
+  Json.parse
+    {|{"opt": {"minor_words": 0.0, "major_words": 0.0, "major_collections": 0},
+       "schedule": {"minor_words": 18462.0, "major_words": 1204.0, "major_collections": 1},
+       "synthesis": {"minor_words": 9311.0, "major_words": 0.0, "major_collections": 0},
+       "swap_decompose": {"minor_words": 0.0, "major_words": 0.0, "major_collections": 0},
+       "peephole": {"minor_words": 2270.0, "major_words": 0.0, "major_collections": 0},
+       "lint": {"minor_words": 0.0, "major_words": 0.0, "major_collections": 0}}|}
+
+let with_legacy_gc = function
+  | Json.Obj fields ->
+    let trace = function
+      | Json.Obj t ->
+        Json.Obj
+          (List.concat_map
+             (fun (k, v) -> if k = "perf" then [ "gc", legacy_gc; k, v ] else [ k, v ])
+             t)
+      | j -> j
+    in
+    Json.Obj (List.map (fun (k, v) -> k, if k = "trace" then trace v else v) fields)
+  | j -> j
+
+let test_legacy_gc_member () =
+  let out = compile_once () in
+  let record =
+    {
+      Report.bench = "legacy";
+      config = "legacy/PH";
+      qubits = 4;
+      paulis = 4;
+      metrics = out.Compiler.metrics;
+      trace = out.Compiler.trace;
+    }
+  in
+  let fresh = Json.to_string (Report.record_to_json record) in
+  check_str "fresh record round-trips" fresh
+    (Json.to_string (Report.record_to_json (Report.record_of_json (Json.parse fresh))));
+  let old = with_legacy_gc (Report.record_to_json record) in
+  check "legacy record carries gc" true
+    (Option.bind (Json.member "trace" old) (Json.member "gc") <> None);
+  check_str "legacy record loads and drops gc" fresh
+    (Json.to_string (Report.record_to_json (Report.record_of_json old)));
+  let payload = Json.Obj [ "verified", Json.Bool true; "record", old ] in
+  match Batch.record_of_payload payload with
+  | None -> Alcotest.fail "legacy cache payload rejected"
+  | Some r ->
+    check_str "legacy payload re-serializes without gc"
+      (Json.to_string (Batch.payload_of_record record))
+      (Json.to_string (Batch.payload_of_record r))
+
 (* --- Db --- *)
 
 let mk ?(commit = "c1") ?(bench = "b") ?(config = "cfg") counter value =
@@ -332,6 +385,8 @@ let () =
             test_jobs_1_vs_4_identical;
           Alcotest.test_case "warm vs cold cache" `Quick
             test_warm_vs_cold_cache_identical;
+          Alcotest.test_case "legacy gc member ignored" `Quick
+            test_legacy_gc_member;
           Alcotest.test_case "json round trip + old json" `Quick
             test_record_json_round_trip;
         ] );

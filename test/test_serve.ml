@@ -242,6 +242,39 @@ let test_malformed_then_usable () =
           check "id round-trips" true
             (Json.member "id" response = Some (Json.Int 9))))
 
+(* non-finite numbers are rejected at parse time, as a literal in the
+   source or as a request parameter (JSON 1e400 reads as infinity) *)
+let test_non_finite_is_parse_error () =
+  with_server (fun server ->
+      with_client server (fun conn ->
+          let message err =
+            match Json.member "message" err with
+            | Some (Json.String m) -> m
+            | _ -> Alcotest.fail "error without message"
+          in
+          let err =
+            expect_error "parse"
+              (Client.request conn ~id:(Json.Int 1)
+                 (Protocol.compile_request "{(XX, 1e400), 1};"))
+          in
+          check_str "literal located"
+            "line 1, column 7: number \"1e400\" is not finite" (message err);
+          let err =
+            expect_error "parse"
+              (Client.raw_round_trip conn
+                 {|{"op": "compile", "source": "{(XX, 0.5), t};", "params": {"t": 1e400}}|})
+          in
+          check_str "parameter named"
+            "line 1, column 13: parameter \"t\" is bound to inf, not a \
+             finite number"
+            (message err);
+          let _ =
+            expect_ok
+              (Client.raw_round_trip conn
+                 {|{"op": "compile", "source": "{(XX, 0.5), t};", "params": {"t": 0.25}}|})
+          in
+          ()))
+
 (* an oversized request line is answered then the connection closes —
    the framing is unrecoverable *)
 let test_oversized_line_closes () =
@@ -367,6 +400,8 @@ let () =
           Alcotest.test_case "second identical request hits the cache" `Quick
             test_cache_hit_origin;
           Alcotest.test_case "ping and stats" `Quick test_ping_and_stats;
+          Alcotest.test_case "non-finite numbers are parse errors" `Quick
+            test_non_finite_is_parse_error;
           Alcotest.test_case "malformed line, connection stays usable" `Quick
             test_malformed_then_usable;
           Alcotest.test_case "oversized request closes the connection" `Quick
