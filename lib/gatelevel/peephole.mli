@@ -14,10 +14,16 @@
     candidate [j] only when at most [window] (default 400) live gates
     lie in slots [j..i-1], whatever qubits they act on.  Within that
     reach it visits only the live gates sharing a qubit with the
-    incoming one, through per-qubit chains of live slots: a visit costs
-    O(1), plus an O(log gates) live-count query when [j] lies more than
-    [window] slots back, and placing or removing a gate costs
-    O(log gates). *)
+    incoming one, through per-qubit chains of live slots.
+
+    Cost: the gates are packed once per call into 28 bytes each (a
+    16-byte slot of kind, qubits and chain links, plus 32-bit stop,
+    Fenwick and merge cells) and unpacked once at the end, reusing the
+    input's gate values for every slot that did not merge.  A visited
+    candidate costs one slot read and one table lookup, plus an
+    O(log gates) live-count query when [j] lies more than [window] slots
+    back; placing a gate costs O(1) and removing one O(log gates).
+    Nothing is allocated in proportion to [window]. *)
 val cancel_once : ?window:int -> Circuit.t -> Circuit.t * int
 
 (** Telemetry of one {!optimize_stats} run: [removed] equals the
@@ -26,7 +32,14 @@ val cancel_once : ?window:int -> Circuit.t -> Circuit.t * int
 type stats = { removed : int; rounds : int }
 
 (** [optimize c] iterates {!cancel_once} to a fixpoint (bounded by
-    [max_rounds], default 20). *)
+    [max_rounds], default 20), with the same gates, [removed] and
+    [rounds] as calling it round by round.
+
+    Cost: one packing and one unpacking for the whole fixpoint.  The
+    first round walks every gate; a later round walks a gate again only
+    when its last walk ran out of window or the gate that stopped it
+    has been removed since.  Every other gate costs O(1) per round (the
+    exactness argument is in DESIGN.md §16). *)
 val optimize : ?window:int -> ?max_rounds:int -> Circuit.t -> Circuit.t
 
 (** {!optimize} returning its {!stats}. *)

@@ -48,11 +48,14 @@ val sched_window_truncations : id
 
 val circuit_gates_built : id
 (** Gates appended through [Circuit.Builder.add] — synthesis output,
-    swap decomposition and peephole rebuilds alike. *)
+    swap decomposition and the peephole's output alike — plus, for
+    every peephole round followed by another, that round's surviving
+    gates (the per-round rebuild the fixpoint used to perform). *)
 
 val peephole_probes : id
 (** Same-qubit candidates examined by the cancellation scans' backward
-    walks. *)
+    walks, counting only the walks actually made: a later fixpoint
+    round skips the gates whose walk no removal can have changed. *)
 
 val peephole_scan_rounds : id
 (** Cancellation sweeps run (to fixpoint, across all stages). *)

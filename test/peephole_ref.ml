@@ -1,7 +1,9 @@
 (* Reference implementations for the gate-level tests: the list-based
    [Gate.commutes]/[Gate.cancels] and the global live-slot walk of
-   [Peephole.cancel_once], kept verbatim as oracles for the
-   allocation-free predicates and the per-qubit walk that replaced them. *)
+   [Peephole.cancel_once] with the round-by-round fixpoint driver, kept
+   verbatim as oracles for the allocation-free predicates, the
+   per-qubit walk on packed slots and the incremental fixpoint that
+   replaced them. *)
 
 open Ph_gatelevel
 
@@ -141,3 +143,17 @@ let cancel_once ?(window = 400) circuit =
   let b = Circuit.Builder.create (Circuit.n_qubits circuit) in
   Array.iter (function Some g -> Circuit.Builder.add b g | None -> ()) slots;
   Circuit.Builder.to_circuit b, !removed
+
+(* The fixpoint driver: [cancel_once] to a fixpoint bounded by
+   [max_rounds], rebuilding the circuit every round; returns the
+   circuit, the gates removed and the rounds run (the final empty one
+   included). *)
+let optimize_stats ?(window = 400) ?(max_rounds = 20) circuit =
+  let rec go c total round =
+    if round >= max_rounds then c, total, round
+    else
+      let c', removed = cancel_once ~window c in
+      if removed = 0 then c', total, round + 1
+      else go c' (total + removed) (round + 1)
+  in
+  go circuit 0 0

@@ -284,6 +284,30 @@ let same_gates a b =
   let ga = Circuit.gates a and gb = Circuit.gates b in
   Array.length ga = Array.length gb && Array.for_all2 Gate.equal ga gb
 
+let gates_built () =
+  List.assoc "circuit_gates_built" (Ph_perf.Counter.totals_assoc ())
+
+(* [optimize_stats] against the reference fixpoint: gates, [removed],
+   [rounds] and the [circuit_gates_built] delta. *)
+let check_fixpoint ?window ?max_rounds what c =
+  let b0 = gates_built () in
+  let f, stats = Peephole.optimize_stats ?window ?max_rounds c in
+  let b1 = gates_built () in
+  let f', removed', rounds' = Peephole_ref.optimize_stats ?window ?max_rounds c in
+  let b2 = gates_built () in
+  if
+    not
+      (same_gates f f' && stats.Peephole.removed = removed'
+      && stats.Peephole.rounds = rounds'
+      && b1 - b0 = b2 - b1)
+  then
+    Alcotest.failf
+      "%s: removed %d/%d, rounds %d/%d, gates built %d/%d, gates %s"
+      what stats.Peephole.removed removed' stats.Peephole.rounds rounds' (b1 - b0)
+      (b2 - b1)
+      (if same_gates f f' then "equal" else "differ");
+  stats.Peephole.rounds
+
 let test_peephole_matches_reference () =
   let st = Random.State.make [| 12 |] in
   let windows = [| 1; 2; 3; 5; 8; 400 |] in
@@ -296,17 +320,183 @@ let test_peephole_matches_reference () =
       Alcotest.failf "window %d, circuit [%s]: removed %d vs reference %d" window
         (String.concat "; " (List.map Gate.to_string (Circuit.to_list c)))
         removed removed';
-    (* the fixpoint reuses one scratch across rounds *)
-    let rec fixpoint c total =
-      let c', r = Peephole_ref.cancel_once ~window c in
-      if r = 0 then c', total else fixpoint c' (total + r)
-    in
-    let f, stats = Peephole.optimize_stats ~window ~max_rounds:max_int c in
-    let f', total' = fixpoint c 0 in
-    if not (same_gates f f' && stats.Peephole.removed = total') then
-      Alcotest.failf "fixpoint, window %d, circuit [%s]" window
-        (String.concat "; " (List.map Gate.to_string (Circuit.to_list c)))
+    ignore
+      (check_fixpoint ~window ~max_rounds:max_int
+         (Printf.sprintf "fixpoint, window %d, circuit [%s]" window
+            (String.concat "; " (List.map Gate.to_string (Circuit.to_list c))))
+         c)
   done
+
+(* Fixpoint sweep that reaches the incremental rounds: a random circuit
+   followed by its inverse, the inverse shuffled by swaps of adjacent
+   commuting gates, so that with a window of 1-12 the partners come into
+   reach only as the gates between them cancel, round after round. *)
+let random_deep_circuit st =
+  let n = 1 + Random.State.int st 8 in
+  let angles = [| 0.1; -0.1; 0.2; -0.3 |] in
+  let angle () = angles.(Random.State.int st (Array.length angles)) in
+  let q () = Random.State.int st n in
+  let pair () =
+    let a = q () in
+    a, if n > 1 then (a + 1 + Random.State.int st (n - 1)) mod n else a
+  in
+  let gate () =
+    match Random.State.int st (if n > 1 then 11 else 7) with
+    | 0 -> Gate.H (q ())
+    | 1 -> Gate.X (q ())
+    | 2 -> Gate.Z (q ())
+    | 3 -> Gate.S (q ())
+    | 4 -> Gate.Sdg (q ())
+    | 5 -> Gate.Rz (angle (), q ())
+    | 6 -> Gate.Rx (angle (), q ())
+    | 7 | 8 -> let a, b = pair () in Gate.Cnot (a, b)
+    | 9 -> let a, b = pair () in Gate.Swap (a, b)
+    | _ -> let a, b = pair () in Gate.Rxx (angle (), a, b)
+  in
+  let half = Array.init (10 + Random.State.int st 60) (fun _ -> gate ()) in
+  let inverse = Array.of_list (List.rev_map Gate.dagger (Array.to_list half)) in
+  let len = Array.length inverse in
+  for _ = 1 to 8 * len do
+    let k = Random.State.int st (len - 1) in
+    if Gate.commutes inverse.(k) inverse.(k + 1) then begin
+      let g = inverse.(k) in
+      inverse.(k) <- inverse.(k + 1);
+      inverse.(k + 1) <- g
+    end
+  done;
+  (* an occasional gate with no partner *)
+  let noise = List.init (Random.State.int st 4) (fun _ -> gate ()) in
+  Circuit.of_gates n (Array.to_list half @ noise @ Array.to_list inverse)
+
+let test_peephole_fixpoint_deep () =
+  let st = Random.State.make [| 18 |] in
+  let deep = ref 0 in
+  for k = 1 to 6_000 do
+    let c = random_deep_circuit st in
+    let window = 1 + (k mod 12) in
+    let rounds =
+      check_fixpoint ~window ~max_rounds:max_int
+        (Printf.sprintf "case %d, window %d, circuit [%s]" k window
+           (String.concat "; " (List.map Gate.to_string (Circuit.to_list c))))
+        c
+    in
+    if rounds >= 3 then incr deep
+  done;
+  check
+    (Printf.sprintf "%d cases take 3 or more rounds, at least 500" !deep)
+    true (!deep >= 500)
+
+(* Every ordered pair of small gates, and every [g; h; g'] triple over
+   the small gates with angles ±0.1, through one pass: pins the packed
+   [relate] table to [Gate.cancels], merge and [Gate.commutes], walked
+   directly and across a middle gate. *)
+let test_peephole_pairs_and_triples () =
+  let check_pass gs =
+    let c = Circuit.of_gates 3 gs in
+    let o, removed = Peephole.cancel_once c in
+    let o', removed' = Peephole_ref.cancel_once c in
+    if not (same_gates o o' && removed = removed') then
+      Alcotest.failf "[%s]: removed %d vs reference %d"
+        (String.concat "; " (List.map Gate.to_string gs))
+        removed removed'
+  in
+  List.iter (fun g -> List.iter (fun h -> check_pass [ g; h ]) all_small_gates) all_small_gates;
+  let small =
+    List.filter
+      (function
+        | Gate.Rz (t, _) | Gate.Rx (t, _) | Gate.Ry (t, _) | Gate.Rxx (t, _, _) ->
+          abs_float t = 0.1
+        | _ -> true)
+      all_small_gates
+  in
+  List.iter
+    (fun g ->
+      List.iter (fun h -> List.iter (fun g' -> check_pass [ g; h; g' ]) small) small)
+    small
+
+(* Compiled circuits of the ft-wide and sc-route shapes, peephole off,
+   then the fixpoint against the reference: the round structure of real
+   CNOT-tree cancellation, which random circuits rarely reach. *)
+let test_peephole_matches_reference_compiled () =
+  let open Paulihedral in
+  let open Ph_benchmarks in
+  let compile config prog =
+    (Compiler.compile { config with Config.peephole = false } prog).Compiler.circuit
+  in
+  let ft schedule = Config.ft ~schedule () in
+  let uccsd =
+    Uccsd.ansatz ~seed:1 ~max_singles:150 ~max_doubles:150 ~n_qubits:64 ()
+  in
+  let rand =
+    Random_h.program ~seed:2 ~density:(80. /. (128. *. 128.)) ~n_qubits:128 ()
+  in
+  List.iter
+    (fun (what, c) -> ignore (check_fixpoint what c))
+    [
+      "uccsd-64/do", compile (ft Config.Depth_oriented) uccsd;
+      "uccsd-64/phoenix", compile (ft Config.Phoenix_like) uccsd;
+      "rand-128/do", compile (ft Config.Depth_oriented) rand;
+      "rand-128/phoenix", compile (ft Config.Phoenix_like) rand;
+      ( "uccsd-12/sc",
+        compile
+          (Config.sc Ph_hardware.Devices.manhattan)
+          (Uccsd.ansatz ~seed:3 ~max_doubles:100 ~n_qubits:12 ()) );
+    ]
+
+(* Later rounds walk only gates whose last walk ran out of window or
+   whose blocker has gone.  Window 2: the X pairs cancel in round 1,
+   which brings the outer H pair into reach for round 2; S5 (stopped at
+   the end of its chain) and the rest are never walked again. *)
+let test_peephole_later_rounds_skip_settled_gates () =
+  let c =
+    Circuit.of_gates 6
+      Gate.[ Z 5; S 5; H 0; X 1; X 2; X 3; H 0; X 3; X 2; X 1 ]
+  in
+  let probes () = List.assoc "peephole_probes" (Ph_perf.Counter.totals_assoc ()) in
+  let p0 = probes () in
+  ignore (Peephole.cancel_once ~window:2 c);
+  let p1 = probes () in
+  let _, stats = Peephole.optimize_stats ~window:2 c in
+  let p2 = probes () in
+  check_int "three rounds" 3 stats.Peephole.rounds;
+  check_int "round 1: S5 past Z5, three X pairs" 4 (p1 - p0);
+  check_int "fixpoint: round 1's probes, then only the H pair" 5 (p2 - p1);
+  ignore (check_fixpoint ~window:2 "nested pairs" c)
+
+let test_peephole_edge_cases () =
+  let st = Random.State.make [| 7 |] in
+  let circuits =
+    Circuit.empty 3
+    (* qubits at or above [n_qubits] *)
+    :: Circuit.of_gates 1 [ Gate.H 4; Gate.Cnot (2, 5); Gate.Rz (0.1, 2); Gate.Cnot (2, 5); Gate.H 4 ]
+    (* merges that leave a zero rotation, or just miss one *)
+    :: Circuit.of_gates 2
+         [
+           Gate.Rz (0.1, 0); Gate.Rz (-0.1 +. 5e-13, 0); Gate.Rxx (0.3, 0, 1);
+           Gate.Rxx (-0.3 +. 2e-12, 1, 0); Gate.Rx (0.2, 1); Gate.Rx (-0.2, 1);
+         ]
+    :: List.init 200 (fun _ -> random_deep_circuit st)
+  in
+  List.iteri
+    (fun k c ->
+      List.iter
+        (fun max_rounds ->
+          List.iter
+            (fun window ->
+              ignore
+                (check_fixpoint ~window ~max_rounds
+                   (Printf.sprintf "circuit %d, window %d, max_rounds %d" k window max_rounds)
+                   c))
+            [ 0; 1; 3; max_int ])
+        [ 0; 1; 2; max_int ])
+    circuits;
+  (* no scratch of window size: an unbounded window costs what the
+     circuit does *)
+  let c = Circuit.of_gates 2 [ Gate.H 0; Gate.Cnot (0, 1); Gate.H 0 ] in
+  let before = Gc.allocated_bytes () in
+  ignore (Peephole.optimize ~window:max_int c);
+  ignore (Peephole.cancel_once ~window:max_int c);
+  check "window max_int allocates little" true (Gc.allocated_bytes () -. before < 10_000.)
 
 let test_peephole_disjoint_gates_free () =
   (* Gates on pairwise distinct qubits have no same-qubit candidate, so
@@ -497,6 +687,13 @@ let () =
           Alcotest.test_case "window counts live slots" `Quick test_peephole_window_semantics;
           Alcotest.test_case "matches reference walk" `Quick test_peephole_matches_reference;
           Alcotest.test_case "disjoint gates cost no probes" `Quick test_peephole_disjoint_gates_free;
+          Alcotest.test_case "fixpoint over many rounds" `Quick test_peephole_fixpoint_deep;
+          Alcotest.test_case "gate pairs and triples" `Quick test_peephole_pairs_and_triples;
+          Alcotest.test_case "compiled circuits match reference" `Quick
+            test_peephole_matches_reference_compiled;
+          Alcotest.test_case "edge cases match reference" `Quick test_peephole_edge_cases;
+          Alcotest.test_case "later rounds skip settled gates" `Quick
+            test_peephole_later_rounds_skip_settled_gates;
           qcheck prop_peephole_preserves_unitary;
         ] );
     ]

@@ -326,6 +326,43 @@ let test_batch_cache_warm_rerun () =
   Alcotest.(check (list string))
     "warm records identical to cold" (records_of cold) (records_of warm)
 
+(* Entries written by the previous compiler version ([paulihedral/10],
+   whose records carry the older peephole probe counts) must miss;
+   the same payloads under the current fingerprint hit, so the misses
+   come from the version tag alone. *)
+let test_batch_previous_version_misses () =
+  let js = jobs_of (corpus ()) in
+  let fresh = Batch.run ~jobs:1 ~config:ft_config ~config_name:"ft/do" js in
+  let fp = Config.fingerprint ft_config in
+  let tag = "v=" ^ Config.version_tag ^ ";" in
+  check "fingerprint leads with the version tag" true (String.starts_with ~prefix:tag fp);
+  let previous_fp =
+    "v=paulihedral/10;" ^ String.sub fp (String.length tag) (String.length fp - String.length tag)
+  in
+  let cache_written_under config_fp =
+    let dir = temp_dir () in
+    let c = Cache.create ~dir () in
+    List.iter
+      (fun (o : Batch.outcome) ->
+        match o.Batch.result with
+        | Batch.Ok r ->
+          let j = o.Batch.job in
+          let program = Ph_pauli_ir.Parser.parse ~params:j.Batch.params j.Batch.source in
+          Cache.store c
+            (Cache.key ~config_fp ~text:(Batch.canonical_text program))
+            (Batch.payload_of_record r)
+        | Batch.Failed _ -> ())
+      fresh.Batch.outcomes;
+    Cache.create ~dir ()
+  in
+  let hits cache =
+    (Batch.run ~cache ~jobs:2 ~config:ft_config ~config_name:"ft/do" js).Batch.stats
+      .Report.cache_hits
+  in
+  check_int "previous-version entries never hit" 0 (hits (cache_written_under previous_fp));
+  check_int "current-version entries hit" (Batch.ok_count fresh)
+    (hits (cache_written_under fp))
+
 let test_batch_stale_fingerprint_misses () =
   let cache = Cache.create () in
   let js = jobs_of (corpus ()) in
@@ -407,6 +444,8 @@ let () =
             test_batch_cache_warm_rerun;
           Alcotest.test_case "stale config fingerprint misses" `Quick
             test_batch_stale_fingerprint_misses;
+          Alcotest.test_case "previous version's entries miss" `Quick
+            test_batch_previous_version_misses;
           Alcotest.test_case "in-batch duplicates coalesce" `Quick
             test_batch_coalesces_duplicates;
         ] );

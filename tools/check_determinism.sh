@@ -2,8 +2,10 @@
 # Static nondeterminism lint over the deterministic core of the
 # compiler.  The perf-counter subsystem, the schedulers (including the
 # arena's parallel candidate scans), the synthesis backends, the
-# gate-level metrics, the worker-team primitive and the batch pool all
-# promise byte-identical output across runs and --jobs/--sched-jobs
+# gate-level metrics, the worker-team primitive, the batch pool, the
+# analyzer's certificates, the linter's diagnostics, the verifiers, the
+# Pauli kernel and IR, and hardware routing all promise byte-identical
+# output across runs and --jobs/--sched-jobs
 # settings; the cheapest way to keep that promise is to ban the usual
 # sources of nondeterminism from their sources:
 #
@@ -24,7 +26,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-dirs="lib/core lib/schedule lib/synthesis lib/perf lib/pool lib/exec lib/gatelevel lib/opt"
+dirs="lib/core lib/schedule lib/synthesis lib/perf lib/pool lib/exec lib/gatelevel lib/opt \
+lib/analysis lib/lint lib/verify lib/pauli lib/pauli_ir lib/hardware"
 
 # path:pattern pairs that are allowed to remain.  Every entry is a
 # timing-only site: the wall clock it reads lands in a field the
