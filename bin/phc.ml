@@ -126,17 +126,7 @@ let run file backend device schedule window sched_jobs params print_circuit
           output_char oc '\n');
       if not json then Printf.printf "wrote certificate %s\n" path
     | None -> ());
-    let ok =
-      no_verify
-      ||
-      match out.Compiler.initial_layout, out.Compiler.final_layout with
-      | Some initial, Some final ->
-        Ph_verify.Pauli_frame.verify_sc ~circuit:out.Compiler.circuit
-          ~trace:out.Compiler.rotations ~initial ~final
-      | _ ->
-        Ph_verify.Pauli_frame.verify_ft out.Compiler.circuit
-          ~trace:out.Compiler.rotations
-    in
+    let ok = no_verify || Compiler.verified out in
     if not no_verify then
       if json then (
         if not ok then prerr_endline "verification FAILED")

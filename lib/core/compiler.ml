@@ -18,6 +18,12 @@ type output = {
 
 let lint_errors o = Ph_lint.Diag.errors o.trace.Report.lint
 
+let verified o =
+  let layouts =
+    match o.initial_layout, o.final_layout with Some i, Some f -> Some (i, f) | _ -> None
+  in
+  Ph_verify.Pauli_frame.verify ?layouts ~trace:o.rotations o.circuit
+
 let schedule_layers config prog =
   let window = config.Config.window in
   let jobs = config.Config.sched_jobs in
@@ -137,117 +143,66 @@ let compile config prog =
     staged (fun () -> schedule_layers config sched_program)
   in
   lint_run acc (fun () -> Ph_lint.Check_schedule.check ~program:sched_program layers);
-  let peephole c =
-    if config.Config.peephole then
-      staged (fun () -> Peephole.optimize_stats c)
-    else (c, { Peephole.removed = 0; rounds = 0 }), 0., 0
-  in
-  (* stage 2+3: backend synthesis (plus hardware replay on SC), then the
-     generic cleanup *)
-  let circuit, rotations, initial_layout, final_layout, timings, words, counters =
+  (* stage 2: backend synthesis (plus hardware replay on SC).  Each
+     backend only synthesizes; [layouts] is [Some] exactly when the
+     circuit is routed onto a device *)
+  let n_qubits = Program.n_qubits prog in
+  let (synthesized, rotations, layouts, sc_swaps), synthesis_s, synthesis_words =
+    let emitted (r, s, words) = (r.Emit.circuit, r.Emit.rotations, None, 0), s, words in
     match config.Config.backend with
     | Config.Ft ->
-      let r, synthesis_s, synthesis_words =
-        staged (fun () ->
-            match opt with
-            | Some o ->
-              Ph_opt.Phoenix_backend.synthesize_ft
-                ~n_qubits:(Program.n_qubits prog) o
-            | None -> Ft_backend.synthesize ~n_qubits:(Program.n_qubits prog) layers)
-      in
-      lint_run acc (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
-      let (c, pstats), peephole_s, peephole_words = peephole r.Emit.circuit in
-      ( c,
-        r.Emit.rotations,
-        None,
-        None,
-        (schedule_s, synthesis_s, 0., peephole_s),
-        (synthesis_words, 0, peephole_words),
-        {
-          Report.sched_layers;
-          sched_padded;
-          sched_window = config.Config.window;
-          sc_swaps = 0;
-          peephole_removed = pstats.Peephole.removed;
-          peephole_rounds = pstats.Peephole.rounds;
-        } )
+      emitted
+        (staged (fun () ->
+             match opt with
+             | Some o -> Ph_opt.Phoenix_backend.synthesize_ft ~n_qubits o
+             | None -> Ft_backend.synthesize ~n_qubits layers))
     | Config.Sc { coupling; noise } ->
-      let r, synthesis_s, synthesis_words =
+      let r, s, words =
         staged (fun () ->
             match opt with
             | Some o ->
               (* a noise model only disables caching upstream; the
                  Phoenix router is distance-driven *)
-              Ph_opt.Phoenix_backend.synthesize_sc ~coupling
-                ~n_qubits:(Program.n_qubits prog) o
-            | None ->
-              Sc_backend.synthesize ?noise ~coupling
-                ~n_qubits:(Program.n_qubits prog) layers)
+              Ph_opt.Phoenix_backend.synthesize_sc ~coupling ~n_qubits o
+            | None -> Sc_backend.synthesize ?noise ~coupling ~n_qubits layers)
       in
-      lint_run acc (fun () -> Ph_lint.Check_gates.circuit r.Sc_backend.circuit);
-      lint_run acc (fun () ->
-          Ph_lint.Check_sc.check ~coupling ~initial:r.Sc_backend.initial_layout
-            ~final:r.Sc_backend.final_layout ~claimed_swaps:r.Sc_backend.swaps
-            r.Sc_backend.circuit);
-      let c, swap_decompose_s, swap_words =
-        staged (fun () -> Circuit.decompose_swaps r.Sc_backend.circuit)
-      in
-      let (c, pstats), peephole_s, peephole_words = peephole c in
-      ( c,
-        r.Sc_backend.rotations,
-        Some r.Sc_backend.initial_layout,
-        Some r.Sc_backend.final_layout,
-        (schedule_s, synthesis_s, swap_decompose_s, peephole_s),
-        (synthesis_words, swap_words, peephole_words),
-        {
-          Report.sched_layers;
-          sched_padded;
-          sched_window = config.Config.window;
-          sc_swaps = r.Sc_backend.swaps;
-          peephole_removed = pstats.Peephole.removed;
-          peephole_rounds = pstats.Peephole.rounds;
-        } )
-    | Config.Ion_trap ->
-      (* native lowering already interleaves its own cleanup passes; the
-         generic peephole stage is not run (Config.ion_trap defaults
-         [peephole = false], and CFG001 warns when a config claims
-         otherwise) *)
-      let r, synthesis_s, synthesis_words =
-        staged (fun () ->
-            Ion_trap.synthesize ~n_qubits:(Program.n_qubits prog) layers)
-      in
-      lint_run acc (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
-      ( r.Emit.circuit,
-        r.Emit.rotations,
-        None,
-        None,
-        (schedule_s, synthesis_s, 0., 0.),
-        (synthesis_words, 0, 0),
-        {
-          Report.empty_counters with
-          Report.sched_layers;
-          sched_padded;
-          sched_window = config.Config.window;
-        } )
+      Sc_backend.(
+        (r.circuit, r.rotations, Some (r.initial_layout, r.final_layout), r.swaps), s, words)
+    | Config.Ion_trap -> emitted (staged (fun () -> Ion_trap.synthesize ~n_qubits layers))
+  in
+  (* stage 3: the generic gate-level tail every backend shares *)
+  lint_run acc (fun () -> Ph_lint.Check_gates.circuit synthesized);
+  (match config.Config.backend, layouts with
+  | Config.Sc { coupling; _ }, Some (initial, final) ->
+    lint_run acc (fun () ->
+        Ph_lint.Check_sc.check ~coupling ~initial ~final ~claimed_swaps:sc_swaps
+          synthesized)
+  | _ -> ());
+  let decomposed, swap_decompose_s, swap_words =
+    match layouts with
+    | Some _ -> staged (fun () -> Circuit.decompose_swaps synthesized)
+    | None -> synthesized, 0., 0
+  in
+  (* ion-trap lowering already interleaves its own cleanup passes, so
+     the generic peephole never runs there (Config.ion_trap defaults
+     [peephole = false], and CFG001 warns when a config claims
+     otherwise) *)
+  let (circuit, pstats), peephole_s, peephole_words =
+    match config.Config.backend with
+    | (Config.Ft | Config.Sc _) when config.Config.peephole ->
+      staged (fun () -> Peephole.optimize_stats decomposed)
+    | _ -> (decomposed, { Peephole.removed = 0; rounds = 0 }), 0., 0
   in
   (* stage 4: the final circuit — structural invariants must have
      survived SWAP decomposition and cleanup, and the Pauli-frame
      spot-check ties the whole pipeline back to the rotation trace *)
   lint_run acc (fun () ->
       Ph_lint.Check_gates.circuit ~post_peephole:config.Config.peephole circuit);
-  lint_run acc (fun () ->
-      let layouts =
-        match initial_layout, final_layout with
-        | Some i, Some f -> Some (i, f)
-        | _ -> None
-      in
-      Ph_lint.Check_frame.check ?layouts ~rotations circuit);
-  let schedule_s, synthesis_s, swap_decompose_s, peephole_s = timings in
+  lint_run acc (fun () -> Ph_lint.Check_frame.check ?layouts ~rotations circuit);
   (* the optimizer is part of the scheduling family's work; its time
      folds into the schedule stage total (the [alloc_opt_words] entry
      keeps its allocation separately attributable) *)
   let schedule_s = opt_s +. schedule_s in
-  let synthesis_words, swap_words, peephole_words = words in
   let metrics = Report.of_circuit circuit in
   (* stage 5 (opt-in): the static analyzer — bounds and gap diagnostics
      run inside the compile window so their work counters land in
@@ -311,8 +266,8 @@ let compile config prog =
   {
     circuit;
     rotations;
-    initial_layout;
-    final_layout;
+    initial_layout = Option.map fst layouts;
+    final_layout = Option.map snd layouts;
     metrics = { metrics with Report.seconds };
     trace =
       {
@@ -321,7 +276,15 @@ let compile config prog =
         swap_decompose_s;
         peephole_s;
         lint_s = acc.seconds;
-        counters;
+        counters =
+          {
+            Report.sched_layers;
+            sched_padded;
+            sched_window = config.Config.window;
+            sc_swaps;
+            peephole_removed = pstats.Peephole.removed;
+            peephole_rounds = pstats.Peephole.rounds;
+          };
         lint = acc.diags;
         perf;
         analysis;

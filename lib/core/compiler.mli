@@ -47,6 +47,11 @@ val compile : Config.t -> Program.t -> output
     off or clean). *)
 val lint_errors : output -> Ph_lint.Diag.t list
 
+(** Pauli-frame certification of a compile against its own rotation
+    trace: SC outputs against their qubit layouts, FT / ion-trap
+    outputs against the identity residue ({!Ph_verify.Pauli_frame.verify}). *)
+val verified : output -> bool
+
 (** [compile_ft program] with default FT configuration. *)
 val compile_ft :
   ?schedule:Config.schedule ->

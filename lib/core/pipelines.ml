@@ -36,72 +36,56 @@ let ph_it ?schedule ?lint ?window ?sched_jobs prog =
     (Compiler.compile (Config.ion_trap ?schedule ?lint ?window ?sched_jobs ())
        prog)
 
-(* Trace of a baseline stage: synthesis + peephole only (plus SWAP
-   decomposition on SC); scheduling counters stay zero. *)
-let baseline_trace ?(synthesis_s = 0.) ?(swap_decompose_s = 0.) ?(peephole_s = 0.)
-    ?(sc_swaps = 0) (pstats : Peephole.stats) =
-  {
-    Report.schedule_s = 0.;
-    synthesis_s;
-    swap_decompose_s;
-    peephole_s;
-    lint_s = 0.;
-    lint = [];
-    perf = [];
-    analysis = None;
-    counters =
+(* One baseline run: [synthesize] yields (circuit, rotations, layouts),
+   with layouts exactly when it routed onto a device; then the generic
+   stage — SWAP decomposition on routed circuits, peephole — and a trace
+   whose scheduling fields stay zero. *)
+let baseline synthesize =
+  let run () =
+    let (routed, rotations, layouts), synthesis_s = Report.timed synthesize in
+    let decomposed, swap_decompose_s =
+      match layouts with
+      | Some _ -> Report.timed (fun () -> Circuit.decompose_swaps routed)
+      | None -> routed, 0.
+    in
+    let (circuit, pstats), peephole_s =
+      Report.timed (fun () -> Peephole.optimize_stats decomposed)
+    in
+    let counters =
       {
         Report.empty_counters with
-        Report.sc_swaps;
+        Report.sc_swaps = Circuit.swap_count routed;
         peephole_removed = pstats.Peephole.removed;
         peephole_rounds = pstats.Peephole.rounds;
-      };
+      }
+    in
+    ( circuit,
+      rotations,
+      layouts,
+      { Report.empty_trace with synthesis_s; swap_decompose_s; peephole_s; counters } )
+  in
+  let (circuit, rotations, layouts, trace), seconds = Report.timed run in
+  {
+    circuit;
+    rotations;
+    initial_layout = Option.map fst layouts;
+    final_layout = Option.map snd layouts;
+    metrics = Report.of_circuit ~seconds circuit;
+    trace;
   }
 
 let ft_stage synthesize prog =
-  let t0 = Unix.gettimeofday () in
-  let (r : Emit.result), synthesis_s = Report.timed (fun () -> synthesize prog) in
-  let (circuit, pstats), peephole_s =
-    Report.timed (fun () -> Peephole.optimize_stats r.circuit)
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  {
-    circuit;
-    rotations = r.rotations;
-    initial_layout = None;
-    final_layout = None;
-    metrics = Report.of_circuit ~seconds circuit;
-    trace = baseline_trace ~synthesis_s ~peephole_s pstats;
-  }
+  baseline (fun () ->
+      let (r : Emit.result) = synthesize prog in
+      r.circuit, r.rotations, None)
 
 let sc_stage synthesize coupling prog =
-  let t0 = Unix.gettimeofday () in
-  let (r : Emit.result), synthesis_s = Report.timed (fun () -> synthesize prog) in
-  let routed, routing_s = Report.timed (fun () -> Router.route ~coupling r.circuit) in
-  let decomposed, swap_decompose_s =
-    Report.timed (fun () -> Circuit.decompose_swaps routed.Router.circuit)
-  in
-  let (circuit, pstats), peephole_s =
-    Report.timed (fun () -> Peephole.optimize_stats decomposed)
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  let sc_swaps =
-    Array.fold_left
-      (fun acc g -> match g with Gate.Swap _ -> acc + 1 | _ -> acc)
-      0
-      (Circuit.gates routed.Router.circuit)
-  in
-  {
-    circuit;
-    rotations = r.rotations;
-    initial_layout = Some routed.Router.initial_layout;
-    final_layout = Some routed.Router.final_layout;
-    metrics = Report.of_circuit ~seconds circuit;
-    trace =
-      baseline_trace
-        ~synthesis_s:(synthesis_s +. routing_s)
-        ~swap_decompose_s ~peephole_s ~sc_swaps pstats;
-  }
+  baseline (fun () ->
+      let (r : Emit.result) = synthesize prog in
+      let routed = Router.route ~coupling r.circuit in
+      ( routed.Router.circuit,
+        r.rotations,
+        Some (routed.Router.initial_layout, routed.Router.final_layout) ))
 
 let tk_ft ?strategy prog = ft_stage (Tk_like.compile ?strategy) prog
 let tk_sc ?strategy coupling prog = sc_stage (Tk_like.compile ?strategy) coupling prog
@@ -109,36 +93,14 @@ let naive_ft prog = ft_stage Naive.synthesize prog
 let naive_sc coupling prog = sc_stage Naive.synthesize coupling prog
 
 let qaoa_sc coupling prog =
-  let t0 = Unix.gettimeofday () in
-  let r, synthesis_s =
-    Report.timed (fun () -> Qaoa_compiler.compile ~coupling prog)
-  in
-  let decomposed, swap_decompose_s =
-    Report.timed (fun () -> Circuit.decompose_swaps r.Qaoa_compiler.circuit)
-  in
-  let (circuit, pstats), peephole_s =
-    Report.timed (fun () -> Peephole.optimize_stats decomposed)
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  let sc_swaps =
-    Array.fold_left
-      (fun acc g -> match g with Gate.Swap _ -> acc + 1 | _ -> acc)
-      0
-      (Circuit.gates r.Qaoa_compiler.circuit)
-  in
-  {
-    circuit;
-    rotations = r.Qaoa_compiler.rotations;
-    initial_layout = Some r.Qaoa_compiler.initial_layout;
-    final_layout = Some r.Qaoa_compiler.final_layout;
-    metrics = Report.of_circuit ~seconds circuit;
-    trace =
-      baseline_trace ~synthesis_s ~swap_decompose_s ~peephole_s ~sc_swaps pstats;
-  }
+  baseline (fun () ->
+      let r = Qaoa_compiler.compile ~coupling prog in
+      ( r.Qaoa_compiler.circuit,
+        r.Qaoa_compiler.rotations,
+        Some (r.Qaoa_compiler.initial_layout, r.Qaoa_compiler.final_layout) ))
 
 let verified run =
-  match run.initial_layout, run.final_layout with
-  | Some initial, Some final ->
-    Ph_verify.Pauli_frame.verify_sc ~circuit:run.circuit ~trace:run.rotations
-      ~initial ~final
-  | _ -> Ph_verify.Pauli_frame.verify_ft run.circuit ~trace:run.rotations
+  let layouts =
+    match run.initial_layout, run.final_layout with Some i, Some f -> Some (i, f) | _ -> None
+  in
+  Ph_verify.Pauli_frame.verify ?layouts ~trace:run.rotations run.circuit

@@ -34,6 +34,9 @@ val concat : t -> t -> t
     decomposition), matching post-compilation accounting. *)
 val cnot_count : t -> int
 
+(** Number of [Swap] gates (each counted once, not decomposed). *)
+val swap_count : t -> int
+
 val single_qubit_count : t -> int
 val total_count : t -> int
 

@@ -1,11 +1,5 @@
 let check ?layouts ~rotations c =
-  let verdict =
-    match layouts with
-    | Some (initial, final) ->
-      Ph_verify.Pauli_frame.verify_sc ~circuit:c ~trace:rotations ~initial ~final
-    | None -> Ph_verify.Pauli_frame.verify_ft c ~trace:rotations
-  in
-  match verdict with
+  match Ph_verify.Pauli_frame.verify ?layouts ~trace:rotations c with
   | true -> []
   | false ->
     [

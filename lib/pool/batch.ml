@@ -80,45 +80,30 @@ let record_of_payload payload =
 
 (* ---------- one compile job (runs on a worker domain) ---------- *)
 
-let frame_verified (out : Compiler.output) =
-  match out.Compiler.initial_layout, out.Compiler.final_layout with
-  | Some initial, Some final ->
-    Ph_verify.Pauli_frame.verify_sc ~circuit:out.Compiler.circuit
-      ~trace:out.Compiler.rotations ~initial ~final
-  | _ ->
-    Ph_verify.Pauli_frame.verify_ft out.Compiler.circuit
-      ~trace:out.Compiler.rotations
-
-let compile_one ~config ~config_name ~verify (j : job) prog : job_result =
+let compile_record ~config ~config_name ~verify ~name prog =
   match Compiler.compile config prog with
-  | exception e ->
-    Failed { job_id = j.id; stage = "compile"; message = Printexc.to_string e }
+  | exception e -> Stdlib.Error ("compile", Printexc.to_string e)
   | out ->
     let lint_errors = Compiler.lint_errors out in
     if config.Config.lint = Lint.Diag.Error_level && lint_errors <> [] then
-      Failed
-        {
-          job_id = j.id;
-          stage = "lint";
-          message = Lint.Diag.to_string (List.hd lint_errors);
-        }
-    else if verify && not (frame_verified out) then
-      Failed
-        {
-          job_id = j.id;
-          stage = "verify";
-          message = "Pauli-frame verification failed";
-        }
+      Stdlib.Error ("lint", Lint.Diag.to_string (List.hd lint_errors))
+    else if verify && not (Compiler.verified out) then
+      Stdlib.Error ("verify", "Pauli-frame verification failed")
     else
-      Ok
+      Stdlib.Ok
         {
-          Report.bench = j.name;
+          Report.bench = name;
           config = config_name;
           qubits = Program.n_qubits prog;
           paulis = Program.term_count prog;
           metrics = out.Compiler.metrics;
           trace = out.Compiler.trace;
         }
+
+let compile_one ~config ~config_name ~verify (j : job) prog =
+  match compile_record ~config ~config_name ~verify ~name:j.name prog with
+  | Stdlib.Ok record -> Ok record
+  | Stdlib.Error (stage, message) -> Failed { job_id = j.id; stage; message }
 
 (* ---------- the batch ---------- *)
 

@@ -44,11 +44,19 @@ type t = {
       (** cache traffic of this batch ([None] when run uncached) *)
 }
 
-(** Pauli-frame certification of one compile output: SC outputs verify
-    against their qubit layouts, FT / ion-trap outputs against the
-    rotation trace.  Shared with the serve daemon so both services
-    accept exactly the same circuits. *)
-val frame_verified : Compiler.output -> bool
+(** [compile_record ~config ~config_name ~verify ~name program] — one
+    compile job: compile, fail on an error-severity lint finding under
+    [Config.lint = Error_level], Pauli-frame verify when [verify], and
+    build the record labelled [name].  [Error (stage, message)] names
+    the failing stage ([compile] / [lint] / [verify]).  Shared with the
+    serve daemon so both services accept exactly the same circuits. *)
+val compile_record :
+  config:Config.t ->
+  config_name:string ->
+  verify:bool ->
+  name:string ->
+  Ph_pauli_ir.Program.t ->
+  (Report.record, string * string) result
 
 (** Compile-cache payload codec shared by every cache writer (batch,
     serve daemon, bench harness), so their entries are mutually

@@ -144,38 +144,20 @@ let shutdown_quiet fd =
 
 (* ---------- one compile job (runs on a worker domain) ---------- *)
 
-type compile_result =
-  | R_ok of Report.record  (** raw record (timings intact, for stats) *)
-  | R_failed of string * string  (** stage, message *)
-
-let compile_now ~(req : Protocol.compile_request) ~config:cconfig ~config_name
-    ~cache ~key program =
-  match Compiler.compile cconfig program with
-  | exception e -> R_failed ("compile", Printexc.to_string e)
-  | out ->
-    let lint_errors = Compiler.lint_errors out in
-    if cconfig.Config.lint = Lint.Diag.Error_level && lint_errors <> [] then
-      R_failed ("lint", Lint.Diag.to_string (List.hd lint_errors))
-    else if req.Protocol.verify && not (Batch.frame_verified out) then
-      R_failed ("verify", "Pauli-frame verification failed")
-    else begin
-      let record =
-        {
-          Report.bench = req.Protocol.name;
-          config = config_name;
-          qubits = Program.n_qubits program;
-          paulis = Program.term_count program;
-          metrics = out.Compiler.metrics;
-          trace = out.Compiler.trace;
-        }
-      in
-      (* only verified compiles are published to the shared cache *)
-      (match key, cache with
-      | Some k, Some c when req.Protocol.verify ->
-        Cache.store c k (Batch.payload_of_record record)
-      | _ -> ());
-      R_ok record
-    end
+(* The raw record keeps its timings, for stats; [Error (stage, message)]
+   otherwise. *)
+let compile_now ~(req : Protocol.compile_request) ~config ~config_name ~cache
+    ~key program =
+  let result =
+    Batch.compile_record ~config ~config_name ~verify:req.Protocol.verify
+      ~name:req.Protocol.name program
+  in
+  (* only verified compiles are published to the shared cache *)
+  (match result, key, cache with
+  | Ok record, Some k, Some c when req.Protocol.verify ->
+    Cache.store c k (Batch.payload_of_record record)
+  | _ -> ());
+  result
 
 (* ---------- request dispatch (runs on a reader thread) ---------- *)
 
@@ -292,13 +274,13 @@ let respond_compile t ~id (req : Protocol.compile_request) =
               t.active <- t.active - 1;
               Condition.broadcast t.cond;
               match r with
-              | R_ok record ->
+              | Ok record ->
                 t.counters.c_compiled <- t.counters.c_compiled + 1;
                 note_compiled t record
-              | R_failed _ -> t.counters.c_failed <- t.counters.c_failed + 1);
+              | Error _ -> t.counters.c_failed <- t.counters.c_failed + 1);
           match r with
-          | R_ok record -> record_response ~id ~origin:"compiled" record
-          | R_failed (stage, m) -> Protocol.error ~id ~code:stage m))))
+          | Ok record -> record_response ~id ~origin:"compiled" record
+          | Error (stage, m) -> Protocol.error ~id ~code:stage m))))
 
 let stats_json t =
   let pool_stats = Pool.worker_stats t.pool in

@@ -255,3 +255,8 @@ let verify_sc ~circuit ~trace ~initial ~final =
           perm.(p0) = p1 && xk = 0 && check (q + 1))
     in
     check 0
+
+let verify ?layouts ~trace circuit =
+  match layouts with
+  | Some (initial, final) -> verify_sc ~circuit ~trace ~initial ~final
+  | None -> verify_ft circuit ~trace

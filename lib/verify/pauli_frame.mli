@@ -53,3 +53,12 @@ val verify_sc :
   initial:Ph_hardware.Layout.t ->
   final:Ph_hardware.Layout.t ->
   bool
+
+(** [verify ?layouts ~trace circuit] — {!verify_sc} when
+    [layouts = (initial, final)] is given (a routed SC compile),
+    {!verify_ft} otherwise (FT and ion-trap compiles). *)
+val verify :
+  ?layouts:Ph_hardware.Layout.t * Ph_hardware.Layout.t ->
+  trace:(Pauli_string.t * float) list ->
+  Circuit.t ->
+  bool

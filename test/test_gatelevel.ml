@@ -96,6 +96,16 @@ let test_depth () =
   check_int "parallel gates share depth" 1
     (Circuit.depth (Circuit.of_gates 3 [ Gate.H 0; Gate.H 1; Gate.H 2 ]))
 
+let test_swap_count () =
+  (* only [Swap] counts — not the CNOTs or Rxx a SWAP resembles *)
+  let c =
+    Circuit.of_gates 3
+      [ Gate.Swap (0, 1); Gate.Cnot (1, 2); Gate.Rxx (0.3, 0, 2); Gate.H 0; Gate.Swap (1, 2) ]
+  in
+  check_int "two swaps" 2 (Circuit.swap_count c);
+  check_int "none after decomposition" 0 (Circuit.swap_count (Circuit.decompose_swaps c));
+  check_int "empty circuit" 0 (Circuit.swap_count (Circuit.empty 2))
+
 let test_decompose_swaps () =
   let c = Circuit.decompose_swaps sample_circuit in
   check "no swaps left" true
@@ -662,6 +672,7 @@ let () =
         [
           Alcotest.test_case "gate counts" `Quick test_counts;
           Alcotest.test_case "depth" `Quick test_depth;
+          Alcotest.test_case "swap count" `Quick test_swap_count;
           Alcotest.test_case "swap decomposition" `Quick test_decompose_swaps;
           Alcotest.test_case "dagger" `Quick test_dagger_circuit;
           Alcotest.test_case "remap" `Quick test_remap;

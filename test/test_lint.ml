@@ -301,7 +301,13 @@ let test_ion_trap_config_honest () =
   in
   (* ...and a config that still claims it draws CFG001 *)
   check "CFG001 fires" true (has_code "CFG001" out.Compiler.trace.Report.lint);
-  check_int "as a warning, not an error" 0 (List.length (Compiler.lint_errors out))
+  check_int "as a warning, not an error" 0 (List.length (Compiler.lint_errors out));
+  (* ...while the compile tail still skips the generic peephole there *)
+  let off = Compiler.compile (Config.ion_trap ~lint:Diag.Warn ()) (small_program ()) in
+  check_int "no peephole rounds" 0
+    out.Compiler.trace.Report.counters.Report.peephole_rounds;
+  check "same circuit as with peephole off" true
+    (Circuit.gates out.Compiler.circuit = Circuit.gates off.Compiler.circuit)
 
 let test_lint_lands_in_trace_json () =
   let out =

@@ -326,18 +326,19 @@ let test_batch_cache_warm_rerun () =
   Alcotest.(check (list string))
     "warm records identical to cold" (records_of cold) (records_of warm)
 
-(* Entries written by the previous compiler version ([paulihedral/10],
-   whose records carry the older peephole probe counts) must miss;
-   the same payloads under the current fingerprint hit, so the misses
-   come from the version tag alone. *)
+(* Entries written by earlier compiler versions must miss:
+   [paulihedral/10] records carry older peephole probe counts, and
+   [paulihedral/11] SC records with lint on carry older
+   [alloc_lint_words].  The same payloads under the current fingerprint
+   hit, so the misses come from the version tag alone. *)
 let test_batch_previous_version_misses () =
   let js = jobs_of (corpus ()) in
   let fresh = Batch.run ~jobs:1 ~config:ft_config ~config_name:"ft/do" js in
   let fp = Config.fingerprint ft_config in
   let tag = "v=" ^ Config.version_tag ^ ";" in
   check "fingerprint leads with the version tag" true (String.starts_with ~prefix:tag fp);
-  let previous_fp =
-    "v=paulihedral/10;" ^ String.sub fp (String.length tag) (String.length fp - String.length tag)
+  let fp_under version =
+    "v=" ^ version ^ ";" ^ String.sub fp (String.length tag) (String.length fp - String.length tag)
   in
   let cache_written_under config_fp =
     let dir = temp_dir () in
@@ -359,7 +360,11 @@ let test_batch_previous_version_misses () =
     (Batch.run ~cache ~jobs:2 ~config:ft_config ~config_name:"ft/do" js).Batch.stats
       .Report.cache_hits
   in
-  check_int "previous-version entries never hit" 0 (hits (cache_written_under previous_fp));
+  List.iter
+    (fun version ->
+      check_int (version ^ " entries never hit") 0
+        (hits (cache_written_under (fp_under version))))
+    [ "paulihedral/10"; "paulihedral/11" ];
   check_int "current-version entries hit" (Batch.ok_count fresh)
     (hits (cache_written_under fp))
 

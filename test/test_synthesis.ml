@@ -404,6 +404,90 @@ let test_sc_matches_ref_hop_under_avoid () =
   let prog = Program.make 13 blocks in
   ignore (sc_matches_ref ~coupling:(Devices.grid 4 4) "grid-4x4" prog)
 
+(* Programs on which [Sc_backend_ref] raises: the fallback tree over a
+   disconnected active region misses a holder ("root must be a holder"),
+   or a padded block's hop is cut off by the leader's committed
+   positions ([Not_found]).  They must now compile and verify. *)
+let sc_compiles_and_verifies ~coupling name prog =
+  let n_qubits = Program.n_qubits prog in
+  let layers = Depth_oriented.schedule prog in
+  let r = Sc_backend.synthesize ~coupling ~n_qubits layers in
+  check (name ^ " obeys the coupling map") true
+    (Array.for_all
+       (fun g ->
+         match Gate.qubits g with
+         | [ a; b ] -> Coupling.adjacent coupling a b
+         | _ -> true)
+       (Circuit.gates r.circuit));
+  check (name ^ " verifies") true
+    (Pauli_frame.verify_sc ~circuit:r.circuit ~trace:r.rotations
+       ~initial:r.initial_layout ~final:r.final_layout);
+  layers
+
+let reference_raises ~coupling prog layers =
+  match
+    Sc_backend_ref.synthesize ~coupling ~n_qubits:(Program.n_qubits prog) layers
+  with
+  | _ -> false
+  | exception (Invalid_argument _ | Not_found) -> true
+
+let test_sc_crash_reproducers () =
+  let coupling = Devices.grid 4 4 in
+  let block strs = Block.make (List.map (fun (s, w) -> term s w) strs) (Block.fixed 0.3) in
+  let holder = Program.make 5 [ Block.make [ term "IIYII" 1.; term "YZIIX" 1. ] (Block.fixed 1.) ] in
+  let cut_off =
+    Program.make 11
+      [
+        block [ "IIZIIYIIZIX", 0.5 ];
+        block [ "IIIIZIIIIII", 0.5; "IIIIXIIIYII", 0.5 ];
+        block [ "XIIYIIXIIXI", 0.5; "IIIZIIYIIII", 0.5; "XIIXIIZIIII", 0.5 ];
+        block [ "IIIIIIIZIIX", 0.5; "IIIIIIIZZIZ", 0.5 ];
+        block [ "IIIIIIIIIXI", 0.5 ];
+      ]
+  in
+  List.iter
+    (fun (name, prog) ->
+      let layers = sc_compiles_and_verifies ~coupling name prog in
+      check (name ^ " crashes the reference") true (reference_raises ~coupling prog layers))
+    [ "root-not-holder", holder; "hop-cut-off", cut_off ]
+
+(* Random DO programs of 2-9 blocks (1-3 strings of weight <= 7) on
+   small devices: where the reference compiles, the output is identical
+   to it; where it raises, the output compiles and verifies. *)
+let test_sc_random_blocks_vs_ref () =
+  let rand = Random.State.make [| 2109 |] in
+  let devices =
+    [ Devices.grid 3 3; Devices.grid 4 4; Devices.grid 5 5; Devices.line 12; Devices.melbourne ]
+  in
+  let raised = ref 0 in
+  for case = 1 to 400 do
+    let coupling = List.nth devices (case mod List.length devices) in
+    let n = min (Coupling.n_qubits coupling) (5 + Random.State.int rand 7) in
+    let random_string () =
+      let weight = 1 + Random.State.int rand (min 7 n) in
+      let ops = Array.make n Pauli.I in
+      for _ = 1 to weight do
+        ops.(Random.State.int rand n) <- List.nth [ Pauli.X; Pauli.Y; Pauli.Z ] (Random.State.int rand 3)
+      done;
+      if Array.for_all (( = ) Pauli.I) ops then ops.(0) <- Pauli.Z;
+      Pauli_term.make (Pauli_string.of_ops ops) 0.5
+    in
+    let blocks =
+      List.init (2 + Random.State.int rand 8) (fun _ ->
+          Block.make (List.init (1 + Random.State.int rand 3) (fun _ -> random_string ()))
+            (Block.fixed 0.3))
+    in
+    let prog = Program.make n blocks in
+    let name = Printf.sprintf "case %d" case in
+    let layers = Depth_oriented.schedule prog in
+    if reference_raises ~coupling prog layers then begin
+      incr raised;
+      ignore (sc_compiles_and_verifies ~coupling name prog)
+    end
+    else ignore (sc_matches_ref ~coupling name prog)
+  done;
+  check "some cases crash the reference" true (!raised > 0)
+
 let test_ft_cancellation_across_padding () =
   (* Two near-identical wide strings separated by a disjoint small one:
      the partner search skips the padding and junction cancellation still
@@ -606,6 +690,10 @@ let () =
             test_sc_matches_ref_devices;
           Alcotest.test_case "matches reference when hops detour padding" `Quick
             test_sc_matches_ref_hop_under_avoid;
+          Alcotest.test_case "crash reproducers compile and verify" `Quick
+            test_sc_crash_reproducers;
+          Alcotest.test_case "random blocks: reference or verified" `Quick
+            test_sc_random_blocks_vs_ref;
           Alcotest.test_case "cancellation across padding" `Quick
             test_ft_cancellation_across_padding;
         ] );

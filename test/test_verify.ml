@@ -211,6 +211,53 @@ let test_verify_sc_stray_z_placement () =
   check "stray Z on data rejected" false
     (Pauli_frame.verify_sc ~circuit:on_data ~trace ~initial ~final:initial)
 
+(* --- verify: the FT/SC dispatch on compiled circuits --- *)
+
+let test_verify_dispatch () =
+  let open Paulihedral in
+  let prog =
+    Ph_pauli_ir.Program.make 4
+      (List.map
+         (fun s ->
+           Ph_pauli_ir.Block.make
+             [ Pauli_term.make (str s) 0.5 ]
+             (Ph_pauli_ir.Block.fixed 0.3))
+         [ "ZIIZ"; "XXYI"; "IZZY" ])
+  in
+  (* the first Rz gains 0.1 rad: structurally fine, semantically wrong *)
+  let mutated c =
+    let hit = ref false in
+    Circuit.of_gates (Circuit.n_qubits c)
+      (List.map
+         (function
+           | Gate.Rz (t, q) when not !hit ->
+             hit := true;
+             Gate.Rz (t +. 0.1, q)
+           | g -> g)
+         (Circuit.to_list c))
+  in
+  let ft = Compiler.compile (Config.ft ()) prog in
+  let trace = ft.Compiler.rotations in
+  check "FT compile accepted" true (Pauli_frame.verify ~trace ft.Compiler.circuit);
+  check "mutated FT circuit rejected" false
+    (Pauli_frame.verify ~trace (mutated ft.Compiler.circuit));
+  let sc = Compiler.compile (Config.sc (Devices.line 4)) prog in
+  let layouts =
+    match sc.Compiler.initial_layout, sc.Compiler.final_layout with
+    | Some i, Some f -> i, f
+    | _ -> Alcotest.fail "SC compile without layouts"
+  in
+  check "routing moved qubits" true
+    (Layout.to_array (fst layouts) <> Layout.to_array (snd layouts));
+  let trace = sc.Compiler.rotations in
+  check "SC compile accepted with its layouts" true
+    (Pauli_frame.verify ~layouts ~trace sc.Compiler.circuit);
+  check "SC compile rejected without layouts" false
+    (Pauli_frame.verify ~trace sc.Compiler.circuit);
+  check "mutated SC circuit rejected" false
+    (Pauli_frame.verify ~layouts ~trace (mutated sc.Compiler.circuit));
+  check "Compiler.verified agrees" true (Compiler.verified sc && Compiler.verified ft)
+
 (* --- Unitary_check --- *)
 
 let test_rotations_unitary () =
@@ -262,6 +309,7 @@ let () =
           Alcotest.test_case "data-ancilla swap" `Quick test_verify_sc_data_ancilla_swap;
           Alcotest.test_case "stray Z placement" `Quick test_verify_sc_stray_z_placement;
         ] );
+      "verify", [ Alcotest.test_case "FT/SC dispatch" `Quick test_verify_dispatch ];
       ( "unitary_check",
         [
           Alcotest.test_case "rotations unitary" `Quick test_rotations_unitary;
