@@ -33,27 +33,50 @@ type t = {
   opt : opt_acc option;
 }
 
-let version = "phc-cert/1"
+let version = "phc-cert/2"
 
-(* Canonical block text: terms lex-sorted (so schedulers' in-block term
-   reorderings never change the digest), every float printed in its
-   shortest round-tripping form. *)
-let canonical_block_text b =
-  let b = Block.sort_terms_lex b in
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iter
+(* Terms in a cheap total order on (plane words, coefficient bits), so
+   schedulers' in-block term reorderings never change the digest —
+   duplicate strings with different coefficients included. *)
+let compare_terms (a : Pauli_term.t) (b : Pauli_term.t) =
+  let c = Pauli_string.compare a.Pauli_term.str b.Pauli_term.str in
+  if c <> 0 then c
+  else
+    Int64.compare
+      (Int64.bits_of_float a.Pauli_term.coeff)
+      (Int64.bits_of_float b.Pauli_term.coeff)
+
+(* MD5 over the block's packed form, little-endian 64-bit fields: the
+   qubit count, the term count, per sorted term its X/Z plane words and
+   the IEEE bits of its coefficient, then the parameter value's bits.
+   Exactly as discriminating as the printed text of [phc-cert/1]
+   (shortest round-tripping floats are a bijection on finite values,
+   [-0.] included), without printing or parsing a single float. *)
+let block_digest b =
+  let terms = Array.of_list (Block.terms b) in
+  Array.sort compare_terms terms;
+  let n = Block.n_qubits b in
+  let words = Ph_pauli.Bits.words_for n in
+  let buf = Bytes.create (8 * (3 + (Array.length terms * ((2 * words) + 1)))) in
+  let pos = ref 0 in
+  let put v =
+    Bytes.set_int64_le buf !pos v;
+    pos := !pos + 8
+  in
+  put (Int64.of_int n);
+  put (Int64.of_int (Array.length terms));
+  Array.iter
     (fun (t : Pauli_term.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "(%s, %s), "
-           (Pauli_string.to_string t.Pauli_term.str)
-           (Ph_pauli.Float_text.repr t.Pauli_term.coeff)))
-    (Block.terms b);
-  Buffer.add_string buf (Ph_pauli.Float_text.repr (Block.param b).Block.value);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+      for w = 0 to words - 1 do
+        put (Int64.of_int (Pauli_string.x_word t.Pauli_term.str w));
+        put (Int64.of_int (Pauli_string.z_word t.Pauli_term.str w))
+      done;
+      put (Int64.bits_of_float t.Pauli_term.coeff))
+    terms;
+  put (Int64.bits_of_float (Block.param b).Block.value);
+  Digest.to_hex (Digest.bytes buf)
 
-let block_digest b = Digest.to_hex (Digest.string (canonical_block_text b))
+let hex_digits = "0123456789abcdef"
 
 (* Little-endian hex mask over the program's qubits, built from the
    member list — [Qubit_set] deliberately hides its words. *)
@@ -65,9 +88,11 @@ let hex_of_qubits ~n_qubits set =
       Bytes.set bytes i
         (Char.chr (Char.code (Bytes.get bytes i) lor (1 lsl (q mod 8)))))
     set;
-  let buf = Buffer.create (2 * Bytes.length bytes) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) bytes;
-  Buffer.contents buf
+  String.init
+    (2 * Bytes.length bytes)
+    (fun i ->
+      let c = Char.code (Bytes.get bytes (i / 2)) in
+      hex_digits.[if i land 1 = 0 then c lsr 4 else c land 15])
 
 (* Depth estimate of one block: each weight-w string costs a CNOT tree
    up then down plus the rotation, 2(w−1)+1; identity strings cost
@@ -120,15 +145,15 @@ let check ~program ?metrics (cert : t) =
       (Diag.error ~code:"ANA010" Diag.Program_loc
          (Printf.sprintf "certificate is over %d qubits, program has %d"
             cert.n_qubits (Program.n_qubits program)));
-  (* digest -> (program block, multiplicity) *)
+  (* digest -> (program block, multiplicity); each block digested once *)
+  let prog_digests = List.map (fun b -> block_digest b, b) (Program.blocks program) in
   let prog_blocks = Hashtbl.create 64 in
   List.iter
-    (fun b ->
-      let d = block_digest b in
+    (fun (d, b) ->
       match Hashtbl.find_opt prog_blocks d with
       | Some (block, n) -> Hashtbl.replace prog_blocks d (block, n + 1)
       | None -> Hashtbl.add prog_blocks d (b, 1))
-    (Program.blocks program);
+    prog_digests;
   (* multiset comparison: every certificate digest must consume one
      program occurrence, and every occurrence must be consumed *)
   let remaining = Hashtbl.copy prog_blocks in
@@ -153,8 +178,7 @@ let check ~program ?metrics (cert : t) =
   (* report leftovers in program order, once per digest *)
   let reported = Hashtbl.create 8 in
   List.iter
-    (fun b ->
-      let d = block_digest b in
+    (fun (d, _) ->
       if Hashtbl.mem remaining d && not (Hashtbl.mem reported d) then begin
         Hashtbl.add reported d ();
         let n = snd (Hashtbl.find remaining d) in
@@ -164,7 +188,7 @@ let check ~program ?metrics (cert : t) =
                 (String.sub d 0 (min 8 (String.length d)))
                 n))
       end)
-    (Program.blocks program);
+    prog_digests;
   if cert.blocks <> !cert_block_count then
     emit
       (Diag.error ~code:"ANA012" Diag.Program_loc

@@ -9,10 +9,13 @@
     scheduler, so a certificate validates independently of the code
     that produced the schedule (CI runs the checker over every compile).
 
-    Block digests are MD5 over a canonical text of the block with terms
-    sorted lexicographically, so they are insensitive to the term
+    Block digests are MD5 over the block's packed binary form — qubit
+    count, term count, each term's plane words and coefficient bits,
+    the parameter value's bits — with terms in a fixed total order on
+    (planes, coefficient bits), so they are insensitive to the term
     reorderings schedulers are allowed to make, while any change to a
-    string, coefficient, or parameter value produces a new digest.
+    string, coefficient (including [-0.] for [0.]), parameter value or
+    qubit count produces a new digest.
 
     Failures surface as stable [Ph_lint.Diag] codes:
     - [ANA010] — version or qubit-count mismatch;
@@ -41,7 +44,7 @@ type opt_acc = {
     {e post-opt} program's. *)
 
 type t = {
-  version : string;  (** ["phc-cert/1"] *)
+  version : string;  (** ["phc-cert/2"]; any other version is ANA010 *)
   n_qubits : int;
   layers : layer_cert list;
   blocks : int;  (** total blocks across layers *)
@@ -58,9 +61,9 @@ type t = {
 val version : string
 
 val block_digest : Ph_pauli_ir.Block.t -> string
-(** Canonical digest: hex MD5 of the block text with terms lex-sorted.
-    Term order never changes the digest; any string, coefficient, or
-    parameter change does. *)
+(** Canonical digest: hex MD5 of the packed block (see above).  Term
+    order never changes the digest; any string, coefficient, parameter
+    or qubit-count change does. *)
 
 val build :
   n_qubits:int ->

@@ -77,7 +77,7 @@ let ion_trap ?(schedule = Gco) ?(lint = Ph_lint.Diag.Off) ?(window = default_win
 (* Bump whenever any pass can change its output for an unchanged
    (program, config) pair — the tag is part of every cache key, so a
    bump invalidates all previously cached compiles. *)
-let version_tag = "paulihedral/12"
+let version_tag = "paulihedral/13"
 
 let schedule_name = function
   | Program_order -> "none"

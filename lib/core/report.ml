@@ -8,16 +8,35 @@ type metrics = {
   seconds : float;
 }
 
+(* One walk computes what [Circuit.cnot_count], [single_qubit_count]
+   and [depth] would in three: a [Swap] counts as 3 CNOTs and depth 3,
+   and the depth is the highest frontier level any gate reaches. *)
 let of_circuit ?(seconds = 0.) circuit =
-  let cnot = Circuit.cnot_count circuit in
-  let single = Circuit.single_qubit_count circuit in
-  {
-    cnot;
-    single;
-    total = cnot + single;
-    depth = Circuit.depth circuit;
-    seconds;
-  }
+  let frontier = Array.make (max 1 (Circuit.n_qubits circuit)) 0 in
+  let cnot = ref 0 and single = ref 0 and depth = ref 0 and level = ref 0 in
+  let scan q = if frontier.(q) > !level then level := frontier.(q) in
+  let store q = frontier.(q) <- !level in
+  Array.iter
+    (fun g ->
+      let cost =
+        match g with
+        | Gate.Cnot _ | Gate.Rxx _ ->
+          incr cnot;
+          1
+        | Gate.Swap _ ->
+          cnot := !cnot + 3;
+          3
+        | _ ->
+          incr single;
+          1
+      in
+      level := 0;
+      Gate.iter_qubits scan g;
+      level := !level + cost;
+      Gate.iter_qubits store g;
+      if !level > !depth then depth := !level)
+    (Circuit.gates circuit);
+  { cnot = !cnot; single = !single; total = !cnot + !single; depth = !depth; seconds }
 
 let timed f =
   let t0 = Unix.gettimeofday () in

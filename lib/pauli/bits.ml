@@ -17,8 +17,9 @@ let last_word_mask n =
   let r = n mod word_bits in
   if r = 0 then (1 lsl word_bits) - 1 else (1 lsl r) - 1
 
-(* 16-bit-chunk popcount table: 4 lookups cover a word.  512 KB of
-   Bytes, built once at module initialisation. *)
+(* 16-bit-chunk popcount table: 4 lookups cover a word.  64 KiB of
+   Bytes (one byte per 16-bit value), built once at module
+   initialisation. *)
 let pop16 =
   let t = Bytes.make 65536 '\000' in
   for i = 1 to 65535 do

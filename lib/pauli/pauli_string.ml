@@ -150,7 +150,24 @@ let mul p q =
   !phase land 3, { n = p.n; x = rx; z = rz }
 
 let equal p q = p.n = q.n && p.x = q.x && p.z = q.z
-let compare p q = Stdlib.compare (p.n, p.x, p.z) (q.n, q.x, q.z)
+
+(* Exactly the order of [Stdlib.compare (n, x, z)] — equal sizes have
+   equal word counts, and words are non-negative ints — walked
+   word by word: certificate digests sort every block's terms by it. *)
+let compare p q =
+  let c = Int.compare p.n q.n in
+  if c <> 0 then c
+  else
+    let words = Array.length p.x in
+    let rec go a b w =
+      if w >= words then 0
+      else
+        let c = Int.compare a.(w) b.(w) in
+        if c <> 0 then c else go a b (w + 1)
+    in
+    let c = go p.x q.x 0 in
+    if c <> 0 then c else go p.z q.z 0
+
 let hash p = Hashtbl.hash (p.n, p.x, p.z)
 
 let compare_lex ?(rank = Pauli.paper_rank) p q =
@@ -212,6 +229,13 @@ let blit_planes p dst_x dst_z pos =
   let words = Array.length p.x in
   Array.blit p.x 0 dst_x pos words;
   Array.blit p.z 0 dst_z pos words
+
+let of_planes n x z pos =
+  let words = Bits.words_for n in
+  { n; x = Array.sub x pos words; z = Array.sub z pos words }
+
+let x_word p w = p.x.(w)
+let z_word p w = p.z.(w)
 
 let or_support_words p dst pos =
   for w = 0 to Array.length p.x - 1 do

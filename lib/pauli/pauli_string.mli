@@ -115,4 +115,15 @@ val blit_planes : t -> int array -> int array -> int -> unit
 
 val or_support_words : t -> int array -> int -> unit
 
+(** The reverse direction, for the Pauli-frame verifier's flat tableau
+    and the certificate's binary block digests: [of_planes n x z pos]
+    is the [n]-qubit string whose plane words are the [Bits.words_for
+    n] words of [x]/[z] at [pos] (copied; bits at positions [>= n]
+    must be zero), and [x_word p w]/[z_word p w] read word [w] of each
+    plane. *)
+val of_planes : int -> int array -> int array -> int -> t
+
+val x_word : t -> int -> int
+val z_word : t -> int -> int
+
 (**/**)

@@ -13,7 +13,9 @@
     extracted [(Q_j, θ'_j)] sequence equals the synthesizer's rotation
     trace and [C_total] is the identity (FT backend) or a qubit
     permutation consistent with the router's layouts (SC backend).
-    Cost is [O(n)] per gate — practical for thousands of qubits. *)
+    Cost is [O(n/62)] word operations per gate on a flat in-place
+    tableau, with a string allocated only per extracted rotation —
+    practical for thousands of qubits. *)
 
 open Ph_pauli
 open Ph_gatelevel
@@ -25,9 +27,10 @@ type residue = {
   x_images : (Pauli_string.t * int) array;
 }
 
-(** [extract c] scans the circuit.  Only Clifford gates
-    ([H], [S], [S†], [X], [Y], [Z], [CNOT], [SWAP], [Rx(±π/2)]) and
-    arbitrary [Rz] are admitted.
+(** [extract c] scans the circuit.  Only Clifford gates ([H], [S],
+    [S†], [X], [Y], [Z], [CNOT], [SWAP], [Rx]/[Ry]/[Rxx] at [±π/2] and
+    [π]), arbitrary [Rz] and arbitrary [Rxx] (a native [XX] rotation)
+    are admitted.
     @raise Invalid_argument on any other gate. *)
 val extract : Circuit.t -> (Pauli_string.t * float) list * residue
 
@@ -37,6 +40,12 @@ val residue_is_identity : residue -> bool
     permutation (up to harmless phases on [X] images), the array [perm]
     with [D(Z_q) = Z_perm(q)]; [None] otherwise. *)
 val residue_permutation : residue -> int array option
+
+(** [normalize rotations] is the normal form both sides are compared
+    in: each rotation merges into the nearest earlier rotation on the
+    same string when everything in between commutes with it, and
+    ~zero angles are dropped. *)
+val normalize : (Pauli_string.t * float) list -> (Pauli_string.t * float) list
 
 (** FT-backend check: extracted rotations equal [trace] exactly and the
     residue is the identity. *)

@@ -299,16 +299,68 @@ let test_certificate_opt_accounting () =
   in
   check "ANA015 fires on negative field" true (has_code "ANA015" diags)
 
+let rec permutations = function
+  | [] -> [ [] ]
+  | xs ->
+    List.concat_map
+      (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( != ) x) xs)))
+      xs
+
 let test_certificate_term_order_insensitive () =
-  (* digests canonicalize term order: a block with reordered terms keeps
-     its digest, so scheduler-side reorderings never invalidate *)
-  let a = block [ "XX", 1.0; "ZZ", 0.5 ] in
-  let b = block [ "ZZ", 0.5; "XX", 1.0 ] in
-  check "same digest" true
-    (Analysis.Certificate.block_digest a = Analysis.Certificate.block_digest b);
-  let c = block [ "ZZ", 0.25; "XX", 1.0 ] in
-  check "coefficient change alters digest" false
-    (Analysis.Certificate.block_digest a = Analysis.Certificate.block_digest c)
+  (* digests canonicalize term order, so scheduler-side reorderings
+     never invalidate, while every semantic change shows *)
+  let digest = Analysis.Certificate.block_digest in
+  (* every order of the terms, a duplicate string with two coefficients
+     included, digests alike *)
+  let terms = [ "XX", 1.0; "ZZ", 0.5; "XX", -0.3; "YZ", 0.25 ] in
+  let d0 = digest (block terms) in
+  List.iter
+    (fun p -> check "permuted terms, same digest" true (digest (block p) = d0))
+    (permutations terms);
+  let differs what b = check (what ^ " alters the digest") false (digest b = d0) in
+  differs "a different string" (block [ "XY", 1.0; "ZZ", 0.5; "XX", -0.3; "YZ", 0.25 ]);
+  differs "a different coefficient"
+    (block [ "XX", 1.0; "ZZ", 0.5; "XX", -0.31; "YZ", 0.25 ]);
+  differs "a different parameter"
+    (block ~param:(Block.fixed 0.2) [ "XX", 1.0; "ZZ", 0.5; "XX", -0.3; "YZ", 0.25 ]);
+  differs "a different qubit count"
+    (block [ "IXX", 1.0; "IZZ", 0.5; "IXX", -0.3; "IYZ", 0.25 ]);
+  let zero = block [ "ZZ", 0. ] and neg_zero = block [ "ZZ", -0. ] in
+  check "-0. and 0. coefficients differ" false (digest zero = digest neg_zero);
+  check "-0. and 0. parameters differ" false
+    (digest (block ~param:(Block.fixed 0.) [ "ZZ", 1. ])
+    = digest (block ~param:(Block.fixed (-0.)) [ "ZZ", 1. ]));
+  (* the phc-cert/2 packed format, pinned (recomputed independently
+     from the byte layout): changing it needs a new certificate version *)
+  Alcotest.(check string) "pinned digest" "15bf5d91e87bcc21b64e42c5ad244c3e"
+    (digest (block [ "XZ", 0.5; "YI", -1.5 ]))
+
+let test_certificate_version_and_digest_edits () =
+  let prog, out = compile_cert () in
+  let cert = out.Compiler.certificate in
+  Alcotest.(check string) "current version" "phc-cert/2" cert.Analysis.Certificate.version;
+  let old = { cert with Analysis.Certificate.version = "phc-cert/1" } in
+  let old =
+    Analysis.Certificate.of_json
+      (Json.parse (Json.to_string (Analysis.Certificate.to_json old)))
+  in
+  check "phc-cert/1 draws ANA010" true
+    (has_code "ANA010" (Analysis.Certificate.check ~program:prog old));
+  (* one block digest altered, leader digest kept consistent *)
+  let altered =
+    tamper_layer
+      (fun l ->
+        let d = String.make 32 '0' in
+        {
+          l with
+          Analysis.Certificate.leader_digest = d;
+          block_digests = d :: List.tl l.Analysis.Certificate.block_digests;
+        })
+      cert
+  in
+  let diags = Analysis.Certificate.check ~program:prog altered in
+  check "altered digest draws ANA011" true (has_code "ANA011" diags);
+  check "and nothing about the leader" false (has_code "ANA012" diags)
 
 (* --- determinism: identical results and counters across runs --- *)
 
@@ -352,6 +404,8 @@ let () =
           Alcotest.test_case "tampering rejected" `Quick test_certificate_tampering;
           Alcotest.test_case "phoenix opt accounting (ANA015)" `Quick
             test_certificate_opt_accounting;
+          Alcotest.test_case "old version, edited digest" `Quick
+            test_certificate_version_and_digest_edits;
           Alcotest.test_case "term order insensitive" `Quick
             test_certificate_term_order_insensitive;
         ] );

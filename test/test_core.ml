@@ -26,6 +26,43 @@ let test_report_metrics () =
   check_int "single" 1 m.Report.single;
   check_int "total" 5 m.Report.total
 
+(* The one-walk [Report.of_circuit] against the three metric functions
+   it replaces: table-2 FT and SC compiles, ion-trap (Rxx) compiles and
+   a random circuit with undecomposed SWAPs. *)
+let test_report_metrics_one_walk () =
+  let same name c =
+    let m = Report.of_circuit c in
+    check_int (name ^ " cnot") (Circuit.cnot_count c) m.Report.cnot;
+    check_int (name ^ " single") (Circuit.single_qubit_count c) m.Report.single;
+    check_int (name ^ " total") (Circuit.total_count c) m.Report.total;
+    check_int (name ^ " depth") (Circuit.depth c) m.Report.depth
+  in
+  let compiled config (b : Ph_benchmarks.Suite.t) =
+    same b.Ph_benchmarks.Suite.name
+      (Compiler.compile config (b.Ph_benchmarks.Suite.generate ())).Compiler.circuit
+  in
+  List.iter (compiled (Config.ft ())) (Ph_benchmarks.Suite.ft ());
+  List.iter
+    (compiled (Config.sc Devices.manhattan))
+    (List.filteri (fun i _ -> i < 4) (Ph_benchmarks.Suite.sc ()));
+  List.iter
+    (compiled (Config.ion_trap ()))
+    (List.filteri (fun i _ -> i < 4) (Ph_benchmarks.Suite.ft ()));
+  let st = Random.State.make [| 5 |] in
+  let gates =
+    List.init 400 (fun _ ->
+        let a = Random.State.int st 6 in
+        let b = (a + 1 + Random.State.int st 5) mod 6 in
+        match Random.State.int st 5 with
+        | 0 -> Gate.Swap (a, b)
+        | 1 -> Gate.Cnot (a, b)
+        | 2 -> Gate.Rxx (0.3, a, b)
+        | 3 -> Gate.Rz (0.1, a)
+        | _ -> Gate.H a)
+  in
+  same "random with swaps" (Circuit.of_gates 6 gates);
+  same "empty" (Circuit.empty 3)
+
 let test_report_helpers () =
   Alcotest.(check (float 1e-9)) "delta" (-50.) (Report.delta 100 50);
   check "delta of zero is nan" true (Float.is_nan (Report.delta 0 5));
@@ -220,6 +257,7 @@ let () =
       ( "report",
         [
           Alcotest.test_case "metrics" `Quick test_report_metrics;
+          Alcotest.test_case "metrics in one walk" `Quick test_report_metrics_one_walk;
           Alcotest.test_case "helpers" `Quick test_report_helpers;
         ] );
       ( "json",

@@ -258,6 +258,128 @@ let test_verify_dispatch () =
     (Pauli_frame.verify ~layouts ~trace (mutated sc.Compiler.circuit));
   check "Compiler.verified agrees" true (Compiler.verified sc && Compiler.verified ft)
 
+(* --- flat tableau vs the boxed oracle (test/pauli_frame_ref.ml) --- *)
+
+let half_pi = Float.pi /. 2.
+
+(* Clifford angles as callers write them: ±π/2 and ±π, also shifted by
+   whole turns so [canonical] has to reduce them. *)
+let clifford_angles =
+  [| half_pi; -.half_pi; Float.pi; -.Float.pi; 3. *. half_pi; -3. *. half_pi;
+     5. *. half_pi; 3. *. Float.pi |]
+
+let random_angle st = Random.State.float st 6. -. 3.
+
+(* Every gate [extract] admits, on [n] qubits; a poisoned circuit gets
+   one generic-angle Rx or Ry, which both sides must reject alike. *)
+let random_circuit st n =
+  let q () = Random.State.int st n in
+  let pair () =
+    let a = q () in
+    a, (a + 1 + Random.State.int st (n - 1)) mod n
+  in
+  let clifford () = clifford_angles.(Random.State.int st (Array.length clifford_angles)) in
+  let gate () =
+    match Random.State.int st (if n >= 2 then 14 else 10) with
+    | 0 -> Gate.H (q ())
+    | 1 -> Gate.S (q ())
+    | 2 -> Gate.Sdg (q ())
+    | 3 -> Gate.X (q ())
+    | 4 -> Gate.Y (q ())
+    | 5 -> Gate.Z (q ())
+    | 6 | 7 -> Gate.Rz (random_angle st, q ())
+    | 8 -> Gate.Rx (clifford (), q ())
+    | 9 -> Gate.Ry (clifford (), q ())
+    | 10 | 11 ->
+      let a, b = pair () in
+      Gate.Cnot (a, b)
+    | 12 ->
+      let a, b = pair () in
+      Gate.Swap (a, b)
+    | _ ->
+      let a, b = pair () in
+      Gate.Rxx ((if Random.State.bool st then clifford () else random_angle st), a, b)
+  in
+  let gates = List.init ((3 * n) + 20) (fun _ -> gate ()) in
+  let gates =
+    if Random.State.int st 8 <> 0 then gates
+    else
+      let at = Random.State.int st (List.length gates) in
+      List.mapi
+        (fun i g ->
+          if i <> at then g
+          else if Random.State.bool st then Gate.Rx (0.3 +. random_angle st, q ())
+          else Gate.Ry (-0.2 +. random_angle st, q ()))
+        gates
+  in
+  Circuit.of_gates n gates
+
+let rotation_eq (s1, t1) (s2, t2) = Pauli_string.equal s1 s2 && t1 = t2
+
+let image_eq (s1, k1) (s2, k2) = Pauli_string.equal s1 s2 && k1 = k2
+
+let same_extraction a b =
+  match a, b with
+  | Ok (r1, (res1 : Pauli_frame.residue)), Ok (r2, (res2 : Pauli_frame.residue)) ->
+    List.length r1 = List.length r2
+    && List.for_all2 rotation_eq r1 r2
+    && Array.for_all2 image_eq res1.Pauli_frame.z_images res2.Pauli_frame.z_images
+    && Array.for_all2 image_eq res1.Pauli_frame.x_images res2.Pauli_frame.x_images
+  | Error e1, Error e2 -> e1 = e2
+  | _ -> false
+
+(* The Pauli-kernel counters one extraction moves. *)
+let kernel_deltas f =
+  let before = Ph_perf.Counter.snapshot () in
+  let r = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+  let after = Ph_perf.Counter.snapshot () in
+  let d = Ph_perf.Counter.compile_assoc ~before ~after in
+  r, List.map (fun k -> List.assoc k d) [ "pauli_mul"; "pauli_words"; "pauli_popcounts" ]
+
+let test_extract_matches_oracle () =
+  let st = Random.State.make [| 21 |] in
+  (* word boundaries at 62 and 124 qubits, plus random sizes *)
+  let sizes =
+    [ 1; 2; 3; 5; 61; 62; 63; 64; 123; 124; 125; 130 ]
+    @ List.init 60 (fun _ -> 1 + Random.State.int st 130)
+  in
+  let raised = ref 0 and completed = ref 0 in
+  List.iteri
+    (fun i n ->
+      let c = random_circuit st n in
+      let flat, flat_ops = kernel_deltas (fun () -> Pauli_frame.extract c) in
+      let boxed, boxed_ops = kernel_deltas (fun () -> Pauli_frame_ref.extract c) in
+      (match boxed with Ok _ -> incr completed | Error _ -> incr raised);
+      check (Printf.sprintf "circuit %d (%d qubits) matches the oracle" i n) true
+        (same_extraction flat boxed);
+      check (Printf.sprintf "circuit %d charges the same kernel work" i) true
+        (flat_ops = boxed_ops))
+    sizes;
+  check "some circuits complete" true (!completed > 40);
+  check "some circuits are rejected" true (!raised > 3)
+
+(* Words over a few short strings: repeats, exact cancellations, ~zero
+   angles and runs of commuting (Z-only) strings. *)
+let test_normalize_matches_oracle () =
+  let st = Random.State.make [| 7 |] in
+  let pool = Array.map str [| "ZZIZ"; "IZZI"; "ZIIZ"; "XXII"; "IYZI"; "XIIX"; "ZZZZ"; "IIIY" |] in
+  let angles = [| 0.3; -0.3; 0.5; 1e-13; 0.; -1e-13; 0.7 |] in
+  for i = 0 to 599 do
+    let len = Random.State.int st 40 in
+    let word = ref [] in
+    for _ = 1 to len do
+      match !word with
+      | (p, t) :: _ when Random.State.int st 5 = 0 -> word := (p, -.t) :: !word
+      | _ ->
+        let p = pool.(Random.State.int st (if i mod 3 = 0 then 3 else Array.length pool)) in
+        word := (p, angles.(Random.State.int st (Array.length angles))) :: !word
+    done;
+    let w = List.rev !word in
+    let a = Pauli_frame.normalize w and b = Pauli_frame_ref.normalize w in
+    check (Printf.sprintf "word %d normalizes like the oracle" i) true
+      (List.length a = List.length b && List.for_all2 rotation_eq a b)
+  done
+
 (* --- Unitary_check --- *)
 
 let test_rotations_unitary () =
@@ -291,6 +413,8 @@ let () =
           Alcotest.test_case "permutation residue" `Quick test_residue_permutation;
           Alcotest.test_case "entangler is no permutation" `Quick
             test_residue_permutation_rejects_entangler;
+          Alcotest.test_case "extract vs boxed oracle" `Quick test_extract_matches_oracle;
+          Alcotest.test_case "normalize vs oracle" `Quick test_normalize_matches_oracle;
         ] );
       ( "verify_ft",
         [
