@@ -93,14 +93,8 @@ type cell = { c_record : Report.record; c_verified : bool }
 let cell ~bench ~config prog (r : Pipelines.run) =
   {
     c_record =
-      {
-        Report.bench;
-        config;
-        qubits = Program.n_qubits prog;
-        paulis = Program.term_count prog;
-        metrics = r.Pipelines.metrics;
-        trace = r.Pipelines.trace;
-      };
+      Ph_pool.Batch.record ~name:bench ~config_name:config prog
+        r.Pipelines.metrics r.Pipelines.trace;
     c_verified = Pipelines.verified r;
   }
 
@@ -122,29 +116,21 @@ let fp_baseline ?device tag =
     | None -> ""
     | Some d -> ";" ^ Config.fingerprint (Config.sc d))
 
-(* Run one cell through the record cache when --cache is given.  Only
-   verified runs are stored (same payload shape as the phc batch
-   cache), so a hit is trusted without recompiling; the stored record
-   may carry another table's row identity, so relabel it. *)
+(* Run one cell through the record cache when --cache is given, with
+   the cache contract of [Ph_pool.Batch] (shared with `phc batch` and
+   the serve daemon): only verified runs are published, and a hit comes
+   back with this cell's labels, so it is trusted without recompiling. *)
 let cached ~bench ~config ~fp prog (f : unit -> Pipelines.run) =
   match !bench_cache with
   | None -> cell ~bench ~config prog (f ())
-  | Some cache ->
-    let key =
-      Ph_pool.Cache.key ~config_fp:fp ~text:(Ph_pool.Batch.canonical_text prog)
-    in
-    let compile () =
+  | Some cache -> (
+    let key = Ph_pool.Batch.key ~config_fp:fp prog in
+    match Ph_pool.Batch.lookup cache key ~bench ~config with
+    | Some r -> { c_record = r; c_verified = true }
+    | None ->
       let c = cell ~bench ~config prog (f ()) in
-      if c.c_verified then
-        Ph_pool.Cache.store cache key
-          (Ph_pool.Batch.payload_of_record c.c_record);
-      c
-    in
-    (match Option.bind (Ph_pool.Cache.find cache key)
-             Ph_pool.Batch.record_of_payload
-     with
-    | Some r -> { c_record = { r with Report.bench; config }; c_verified = true }
-    | None -> compile ())
+      Ph_pool.Batch.publish cache key ~verified:c.c_verified c.c_record;
+      c)
 
 let emit_cell c =
   if !json_enabled then
@@ -1104,10 +1090,6 @@ let () =
   | [] -> List.iter (fun (_, f) -> f []) experiments
   | _ -> usage ());
   (match json_path with Some path -> write_json path | None -> ());
-  match !bench_cache with
-  | Some cache ->
-    let c = Ph_pool.Cache.counters cache in
-    Printf.printf "cache: hits=%d (mem %d, disk %d) misses=%d stores=%d evictions=%d\n"
-      (Ph_pool.Cache.hits c) c.Ph_pool.Cache.hits_mem c.Ph_pool.Cache.hits_disk
-      c.Ph_pool.Cache.misses c.Ph_pool.Cache.stores c.Ph_pool.Cache.evictions
-  | None -> ()
+  Option.iter
+    (fun cache -> print_endline (Ph_pool.Cache.summary (Ph_pool.Cache.counters cache)))
+    !bench_cache

@@ -45,19 +45,30 @@ let config_for ?analyze ?gap_threshold ?sched_jobs ~backend ~device ~schedule
   | Ok config -> config
   | Error (`Msg m) -> failwith m
 
-(* A compile that raises (a backend bug, say) is reported on stderr as a
-   compile-stage error with exit code 1, as `phc serve` and `phc batch`
-   report it, never as an uncaught exception.  Config and parse
-   failures keep their own messages: they are raised before the
-   compile starts. *)
-exception Compile_error of exn
-
-let compile_stage config program =
-  try Compiler.compile config program with e -> raise (Compile_error e)
-
-let compile_error e =
-  Printf.eprintf "compile error: %s\n" (Printexc.to_string e);
-  1
+(* The prologue of compile, lint and analyze: read [file], parse it
+   with the shared [Batch.parse], build the config (after parsing, so a
+   parse error is reported first) and compile, handing the program and
+   the output to [k].  Every failure is reported on stderr and exits 1;
+   a compile that raises (a backend bug, say) is a compile-stage error,
+   as `phc serve` and `phc batch` report it, never an uncaught
+   exception. *)
+let with_compile file ~params config k =
+  match read_file file with
+  | exception Sys_error m -> prerr_endline m; 1
+  | source -> (
+    match Ph_pool.Batch.parse ~params source with
+    | Error m ->
+      Printf.eprintf "parse error: %s\n" m;
+      1
+    | Ok program -> (
+      match config () with
+      | exception Failure m -> prerr_endline m; 1
+      | config -> (
+        match Compiler.compile config program with
+        | exception e ->
+          Printf.eprintf "compile error: %s\n" (Printexc.to_string e);
+          1
+        | out -> k program out)))
 
 (* Lint findings go to stderr (stdout carries metrics / JSON); returns
    true when error-severity findings must fail the run. *)
@@ -68,37 +79,17 @@ let report_lint ~lint (out : Compiler.output) =
 
 let run file backend device schedule window sched_jobs params print_circuit
     no_verify lint json normalize output analyze gap_threshold cert_out =
-  match
-    let source = read_file file in
-    let program = Ph_pauli_ir.Parser.parse ~params source in
-    let out =
-      compile_stage
-        (config_for ~analyze ~gap_threshold ~sched_jobs ~backend ~device
-           ~schedule ~lint ~window ())
-        program
-    in
-    Ok (program, out)
-  with
-  | exception Sys_error m -> prerr_endline m; 1
-  | exception Failure m -> prerr_endline m; 1
-  | exception Compile_error e -> compile_error e
-  | exception Ph_pauli_ir.Parser.Parse_error m ->
-    Printf.eprintf "parse error: %s\n" m;
-    1
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (program, out) ->
+  with_compile file ~params
+    (config_for ~analyze ~gap_threshold ~sched_jobs ~backend ~device ~schedule
+       ~lint ~window)
+  @@ fun program out ->
     let lint_failed = report_lint ~lint out in
     if json then begin
       (* same record schema as bench/main.exe --json, one object *)
       let record =
-        {
-          Report.bench = Filename.basename file;
-          config = config_name backend device schedule;
-          qubits = Ph_pauli_ir.Program.n_qubits program;
-          paulis = Ph_pauli_ir.Program.term_count program;
-          metrics = out.Compiler.metrics;
-          trace = out.Compiler.trace;
-        }
+        Ph_pool.Batch.record ~name:(Filename.basename file)
+          ~config_name:(config_name backend device schedule)
+          program out.Compiler.metrics out.Compiler.trace
       in
       let record = if normalize then Report.normalize_record record else record in
       print_endline (Json.to_string ~indent:true (Report.record_to_json record))
@@ -316,12 +307,9 @@ let run_batch files backend device schedule window sched_jobs params lint jobs
           Printf.printf "failed  %-28s %s: %s\n"
             o.Ph_pool.Batch.job.Ph_pool.Batch.name f.stage f.message)
       batch.Ph_pool.Batch.outcomes;
-    (match batch.Ph_pool.Batch.cache_counters with
-    | Some c ->
-      Printf.printf "cache: hits=%d (mem %d, disk %d) misses=%d stores=%d evictions=%d\n"
-        (Ph_pool.Cache.hits c) c.Ph_pool.Cache.hits_mem c.Ph_pool.Cache.hits_disk
-        c.Ph_pool.Cache.misses c.Ph_pool.Cache.stores c.Ph_pool.Cache.evictions
-    | None -> ());
+    Option.iter
+      (fun c -> print_endline (Ph_pool.Cache.summary c))
+      batch.Ph_pool.Batch.cache_counters;
     let ok = Ph_pool.Batch.ok_count batch in
     let n_failed = List.length (Ph_pool.Batch.failed batch) in
     Printf.printf "result: %d ok, %d failed\n" ok n_failed;
@@ -403,23 +391,10 @@ let batch_cmd =
 (* ---------- phc lint: verify-each over the whole pipeline ---------- *)
 
 let run_lint file backend device schedule params json =
-  match
-    let source = read_file file in
-    let program = Ph_pauli_ir.Parser.parse ~params source in
-    let config =
-      config_for ~backend ~device ~schedule ~lint:Lint.Diag.Error_level
-        ~window:Config.default_window ()
-    in
-    Ok (program, compile_stage config program)
-  with
-  | exception Sys_error m -> prerr_endline m; 1
-  | exception Failure m -> prerr_endline m; 1
-  | exception Compile_error e -> compile_error e
-  | exception Ph_pauli_ir.Parser.Parse_error m ->
-    Printf.eprintf "parse error: %s\n" m;
-    1
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (program, out) ->
+  with_compile file ~params
+    (config_for ~backend ~device ~schedule ~lint:Lint.Diag.Error_level
+       ~window:Config.default_window)
+  @@ fun program out ->
     let diags = out.Compiler.trace.Report.lint in
     let errors = Lint.Diag.errors diags in
     if json then
@@ -465,23 +440,10 @@ let lint_cmd =
 
 let run_analyze file backend device schedule window params gap_threshold lint
     json check_cert =
-  match
-    let source = read_file file in
-    let program = Ph_pauli_ir.Parser.parse ~params source in
-    let config =
-      config_for ~analyze:true ~gap_threshold ~backend ~device ~schedule ~lint
-        ~window ()
-    in
-    Ok (program, compile_stage config program)
-  with
-  | exception Sys_error m -> prerr_endline m; 1
-  | exception Failure m -> prerr_endline m; 1
-  | exception Compile_error e -> compile_error e
-  | exception Ph_pauli_ir.Parser.Parse_error m ->
-    Printf.eprintf "parse error: %s\n" m;
-    1
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (program, out) ->
+  with_compile file ~params
+    (config_for ~analyze:true ~gap_threshold ~backend ~device ~schedule ~lint
+       ~window)
+  @@ fun program out ->
     let metrics = out.Compiler.metrics in
     (* under --schedule phoenix the certificate is over the optimizer's
        rewritten program, which the compile output carries *)
@@ -517,14 +479,9 @@ let run_analyze file backend device schedule window params gap_threshold lint
          diff the gap counters of two analyze runs *)
       let record =
         Report.normalize_record
-          {
-            Report.bench = Filename.basename file;
-            config = config_name backend device schedule;
-            qubits = Ph_pauli_ir.Program.n_qubits program;
-            paulis = Ph_pauli_ir.Program.term_count program;
-            metrics;
-            trace;
-          }
+          (Ph_pool.Batch.record ~name:(Filename.basename file)
+             ~config_name:(config_name backend device schedule)
+             program metrics trace)
       in
       print_endline
         (Json.to_string ~indent:true (Json.List [ Report.record_to_json record ]))

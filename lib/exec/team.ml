@@ -1,6 +1,6 @@
 (* A process-wide team of worker domains for deterministic intra-compile
-   parallelism (the scheduler's candidate scans; `Pool.parallel_for`
-   wraps it for pool users).  Design constraints, in order:
+   parallelism (the scheduler's candidate scans).  Design constraints, in
+   order:
 
    - **Determinism is the caller's job, cheapness is ours.**  [run]
      executes chunk bodies on whichever domain claims them first; the

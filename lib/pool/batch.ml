@@ -41,6 +41,37 @@ let failed t =
   List.filter (fun o -> match o.result with Failed _ -> true | Ok _ -> false)
     t.outcomes
 
+(* ---------- source to cached record ---------- *)
+
+let parse ~params source =
+  match Parser.parse ~params source with
+  | exception Parser.Parse_error m -> Stdlib.Error m
+  | exception e -> Stdlib.Error (Printexc.to_string e)
+  | program -> Stdlib.Ok program
+
+let record ~name ~config_name prog metrics trace =
+  {
+    Report.bench = name;
+    config = config_name;
+    qubits = Program.n_qubits prog;
+    paulis = Program.term_count prog;
+    metrics;
+    trace;
+  }
+
+let compile_record ~config ~config_name ~verify ~name prog =
+  match Compiler.compile config prog with
+  | exception e -> Stdlib.Error ("compile", Printexc.to_string e)
+  | out ->
+    let lint_errors = Compiler.lint_errors out in
+    if config.Config.lint = Lint.Diag.Error_level && lint_errors <> [] then
+      Stdlib.Error ("lint", Lint.Diag.to_string (List.hd lint_errors))
+    else if verify && not (Compiler.verified out) then
+      Stdlib.Error ("verify", "Pauli-frame verification failed")
+    else
+      Stdlib.Ok
+        (record ~name ~config_name prog out.Compiler.metrics out.Compiler.trace)
+
 (* Canonical key text: the concrete syntax with every parameter printed
    as its resolved numeric value.  [Parser.to_text] keeps symbolic
    labels (it must round-trip), which would make the key depend on
@@ -63,12 +94,11 @@ let canonical_text prog =
     (Program.blocks prog);
   Buffer.contents buf
 
-(* ---------- cache payload ---------- *)
+let key ~config_fp prog = Cache.key ~config_fp ~text:(canonical_text prog)
 
-(* Only verified compiles are stored, and the [verified] field says so
-   explicitly, so a payload can never be mistaken for an unchecked
-   result.  The shape is shared by every cache writer (batch, serve,
-   bench) so their entries are mutually readable. *)
+(* The [verified] field says explicitly that the record passed the
+   Pauli-frame verifier, so a payload can never be mistaken for an
+   unchecked result. *)
 let payload_of_record record =
   Json.Obj [ "verified", Json.Bool true; "record", Report.record_to_json record ]
 
@@ -78,27 +108,15 @@ let record_of_payload payload =
     try Some (Report.record_of_json r) with Json.Parse_error _ -> None)
   | _ -> None
 
-(* ---------- one compile job (runs on a worker domain) ---------- *)
+(* The stored record may carry another writer's row identity (a bench
+   table label, another file name): answer with the caller's. *)
+let lookup cache key ~bench ~config =
+  Option.map
+    (fun r -> { r with Report.bench; config })
+    (Option.bind (Cache.find cache key) record_of_payload)
 
-let compile_record ~config ~config_name ~verify ~name prog =
-  match Compiler.compile config prog with
-  | exception e -> Stdlib.Error ("compile", Printexc.to_string e)
-  | out ->
-    let lint_errors = Compiler.lint_errors out in
-    if config.Config.lint = Lint.Diag.Error_level && lint_errors <> [] then
-      Stdlib.Error ("lint", Lint.Diag.to_string (List.hd lint_errors))
-    else if verify && not (Compiler.verified out) then
-      Stdlib.Error ("verify", "Pauli-frame verification failed")
-    else
-      Stdlib.Ok
-        {
-          Report.bench = name;
-          config = config_name;
-          qubits = Program.n_qubits prog;
-          paulis = Program.term_count prog;
-          metrics = out.Compiler.metrics;
-          trace = out.Compiler.trace;
-        }
+let publish cache key ~verified record =
+  if verified then Cache.store cache key (payload_of_record record)
 
 let compile_one ~config ~config_name ~verify (j : job) prog =
   match compile_record ~config ~config_name ~verify ~name:j.name prog with
@@ -125,27 +143,18 @@ let run ?cache ?(jobs = 1) ?(verify = true) ~config ~config_name job_list =
   let prep =
     Array.mapi
       (fun i (j : job) ->
-        match Parser.parse ~params:j.params j.source with
-        | exception Parser.Parse_error m ->
-          P_failed (Failed { job_id = j.id; stage = "parse"; message = m })
-        | exception e ->
-          P_failed
-            (Failed
-               { job_id = j.id; stage = "parse"; message = Printexc.to_string e })
-        | program -> (
-          let key =
-            if cacheable then
-              Some (Cache.key ~config_fp ~text:(canonical_text program))
-            else None
-          in
+        match parse ~params:j.params j.source with
+        | Stdlib.Error message ->
+          P_failed (Failed { job_id = j.id; stage = "parse"; message })
+        | Stdlib.Ok program -> (
+          let key = if cacheable then Some (key ~config_fp program) else None in
           let hit =
             match key, cache with
-            | Some k, Some c ->
-              Option.bind (Cache.find c k) record_of_payload
+            | Some k, Some c -> lookup c k ~bench:j.name ~config:config_name
             | _ -> None
           in
           match hit with
-          | Some record -> P_hit { record with Report.bench = j.name }
+          | Some record -> P_hit record
           | None -> (
             match key with
             | Some k -> (
@@ -216,7 +225,7 @@ let run ?cache ?(jobs = 1) ?(verify = true) ~config ~config_name job_list =
       (fun i p ->
         match p, results.(i) with
         | P_compile { key = Some k; _ }, Some (Ok record) ->
-          Cache.store c k (payload_of_record record)
+          publish c k ~verified:verify record
         | _ -> ())
       prep);
   let served, compiled_n =

@@ -197,3 +197,7 @@ let counters_to_json (c : counters) =
       "stores", Json.Int c.stores;
       "evictions", Json.Int c.evictions;
     ]
+
+let summary c =
+  Printf.sprintf "cache: hits=%d (mem %d, disk %d) misses=%d stores=%d evictions=%d"
+    (hits c) c.hits_mem c.hits_disk c.misses c.stores c.evictions

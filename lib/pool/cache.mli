@@ -54,3 +54,9 @@ val store : t -> string -> Ph_json.t -> unit
 val counters : t -> counters
 val hits : counters -> int
 val counters_to_json : counters -> Ph_json.t
+
+(** [summary c] — the one-line
+    [cache: hits=H (mem M, disk D) misses=N stores=S evictions=E]
+    that [phc batch] and the bench harness print (CI greps it for
+    [misses=0]). *)
+val summary : counters -> string

@@ -220,25 +220,3 @@ let map_timed ~jobs f xs =
     Array.to_list (Array.map Option.get results)
 
 let map ~jobs f xs = List.map fst (map_timed ~jobs f xs)
-
-(* [parallel_for] rides the process-wide scan team ([Ph_exec.Team])
-   instead of this module's own worker pool: the team's domains are
-   parked between dispatches, so per-call overhead is two mutex
-   hand-offs rather than a spawn/join cycle — the right shape for many
-   small loops inside one compile.  When the team is busy (for example
-   a pool worker's scheduler already holds it) the loop runs inline,
-   which under the Team determinism contract produces identical
-   output. *)
-let parallel_for ~jobs ~chunks f =
-  if chunks < 0 then invalid_arg "Pool.parallel_for: negative chunk count"
-  else if chunks = 0 then ()
-  else
-    match Ph_exec.Team.try_acquire jobs with
-    | None ->
-      for k = 0 to chunks - 1 do
-        f k
-      done
-    | Some team ->
-      Fun.protect
-        ~finally:(fun () -> Ph_exec.Team.release team)
-        (fun () -> Ph_exec.Team.run team ~chunks f)

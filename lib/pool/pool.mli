@@ -73,14 +73,3 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 (** {!map} plus per-job queue-wait / run telemetry. *)
 val map_timed :
   jobs:int -> ('a -> 'b) -> 'a list -> (('b, exn) result * timing) list
-
-(** [parallel_for ~jobs ~chunks f] runs [f 0 .. f (chunks - 1)] over the
-    process-wide scan team ([Ph_exec.Team]) with [jobs]-way parallelism,
-    falling back to an inline sequential loop when [jobs <= 1] or the
-    team is already held.  Chunk bodies must follow the Team determinism
-    contract (write only into per-chunk slots, reduce afterwards in
-    ascending chunk order); under it the result is bit-identical to the
-    sequential loop.  Unlike {!map}, no pool is created: the team's
-    parked domains make this cheap enough for many small loops inside
-    one task. *)
-val parallel_for : jobs:int -> chunks:int -> (int -> unit) -> unit

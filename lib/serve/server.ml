@@ -11,14 +11,18 @@
 
    Lock order: the server state mutex may be taken around
    [Pool.try_submit] (which takes the pool mutex), never the other way
-   around.  Result cells have their own mutex and are leaves. *)
+   around.  Result cells have their own mutex and are leaves.
+
+   Parsing, record building and the cache contract (lookup with the
+   caller's labels, publish only verified records) are [Ph_pool.Batch]'s
+   steps, shared with `phc batch` and the bench harness: this module
+   only decides where each step runs (lookups on the reader thread,
+   compile and publish on a worker domain). *)
 
 module Json = Ph_json
 module Pool = Ph_pool.Pool
 module Cache = Ph_pool.Cache
 module Batch = Ph_pool.Batch
-module Parser = Ph_pauli_ir.Parser
-module Program = Ph_pauli_ir.Program
 open Paulihedral
 
 type config = {
@@ -142,23 +146,6 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let shutdown_quiet fd =
   try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
-(* ---------- one compile job (runs on a worker domain) ---------- *)
-
-(* The raw record keeps its timings, for stats; [Error (stage, message)]
-   otherwise. *)
-let compile_now ~(req : Protocol.compile_request) ~config ~config_name ~cache
-    ~key program =
-  let result =
-    Batch.compile_record ~config ~config_name ~verify:req.Protocol.verify
-      ~name:req.Protocol.name program
-  in
-  (* only verified compiles are published to the shared cache *)
-  (match result, key, cache with
-  | Ok record, Some k, Some c when req.Protocol.verify ->
-    Cache.store c k (Batch.payload_of_record record)
-  | _ -> ());
-  result
-
 (* ---------- request dispatch (runs on a reader thread) ---------- *)
 
 let record_response ~id ~origin record =
@@ -195,14 +182,11 @@ let note_compiled t (record : Report.record) =
     fold tot.agg_gap_total s.Ph_analysis.Gap.gap_total
 
 let respond_compile t ~id (req : Protocol.compile_request) =
-  match Parser.parse ~params:req.Protocol.params req.Protocol.source with
-  | exception Parser.Parse_error m ->
+  match Batch.parse ~params:req.Protocol.params req.Protocol.source with
+  | Error m ->
     locked t (fun () -> t.counters.c_failed <- t.counters.c_failed + 1);
     Protocol.error ~id ~code:"parse" m
-  | exception e ->
-    locked t (fun () -> t.counters.c_failed <- t.counters.c_failed + 1);
-    Protocol.error ~id ~code:"parse" (Printexc.to_string e)
-  | program -> (
+  | Ok program -> (
     match
       Protocol.config_for ~analyze:req.Protocol.analyze
         ~sched_jobs:req.Protocol.sched_jobs ~backend:req.Protocol.backend
@@ -217,33 +201,36 @@ let respond_compile t ~id (req : Protocol.compile_request) =
         Protocol.config_name ~backend:req.Protocol.backend
           ~device:req.Protocol.device ~schedule:req.Protocol.schedule
       in
-      let cache = if Config.cacheable cconfig then t.cfg.cache else None in
-      let key =
-        Option.map
-          (fun _ ->
-            Cache.key
-              ~config_fp:(Config.fingerprint cconfig)
-              ~text:(Batch.canonical_text program))
-          cache
+      let cache =
+        if Config.cacheable cconfig then
+          Option.map
+            (fun c -> c, Batch.key ~config_fp:(Config.fingerprint cconfig) program)
+            t.cfg.cache
+        else None
       in
-      let hit =
-        match key, cache with
-        | Some k, Some c -> Option.bind (Cache.find c k) Batch.record_of_payload
-        | _ -> None
-      in
-      match hit with
+      match
+        Option.bind cache (fun (c, key) ->
+            Batch.lookup c key ~bench:req.Protocol.name ~config:config_name)
+      with
       | Some record ->
-        (* warm answer: relabel to this request's identity, skip the pool
-           entirely — cache hits are served even under full queues *)
+        (* cache hits skip the pool entirely: they are served even
+           under full queues *)
         locked t (fun () ->
             t.counters.c_cache_hits <- t.counters.c_cache_hits + 1);
-        record_response ~id ~origin:"cache"
-          { record with Report.bench = req.Protocol.name; config = config_name }
+        record_response ~id ~origin:"cache" record
       | None -> (
         let result = cell () in
+        (* the raw record keeps its timings, for stats *)
         let job () =
-          cell_fill result
-            (compile_now ~req ~config:cconfig ~config_name ~cache ~key program)
+          let r =
+            Batch.compile_record ~config:cconfig ~config_name
+              ~verify:req.Protocol.verify ~name:req.Protocol.name program
+          in
+          (match r, cache with
+          | Ok record, Some (c, key) ->
+            Batch.publish c key ~verified:req.Protocol.verify record
+          | _ -> ());
+          cell_fill result r
         in
         let admission =
           locked t (fun () ->

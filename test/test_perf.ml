@@ -226,13 +226,14 @@ let test_legacy_gc_member () =
     (Option.bind (Json.member "trace" old) (Json.member "gc") <> None);
   check_str "legacy record loads and drops gc" fresh
     (Json.to_string (Report.record_to_json (Report.record_of_json old)));
-  let payload = Json.Obj [ "verified", Json.Bool true; "record", old ] in
-  match Batch.record_of_payload payload with
+  let cache = Cache.create () in
+  Cache.store cache "legacy"
+    (Json.Obj [ "verified", Json.Bool true; "record", old ]);
+  match Batch.lookup cache "legacy" ~bench:"legacy" ~config:"legacy/PH" with
   | None -> Alcotest.fail "legacy cache payload rejected"
   | Some r ->
-    check_str "legacy payload re-serializes without gc"
-      (Json.to_string (Batch.payload_of_record record))
-      (Json.to_string (Batch.payload_of_record r))
+    check_str "legacy payload re-serializes without gc" fresh
+      (Json.to_string (Report.record_to_json r))
 
 (* --- Db --- *)
 

@@ -290,17 +290,22 @@ let test_batch_fault_isolation () =
         "good-1", "{(XX, 1.0), 0.5};\n", [];
         "bad", "{(XQ, 1.0), 0.5};\n", [];
         "good-2", "{(ZZ, 1.0), 0.25};\n", [];
+        (* the parser raises [Invalid_argument] here, not [Parse_error] *)
+        "mixed", "{(XX, 1.0), (XXX, 1.0), 0.5};\n", [];
       ]
   in
   let batch = Batch.run ~jobs:4 ~config:ft_config ~config_name:"ft/do" js in
   check_int "two jobs still complete" 2 (Batch.ok_count batch);
-  match Batch.failed batch with
-  | [ o ] -> (
-    check_str "failing job" "bad" o.Batch.job.Batch.name;
-    match o.Batch.result with
-    | Batch.Failed f -> check_str "failed at parse" "parse" f.stage
-    | Batch.Ok _ -> Alcotest.fail "expected failure")
-  | os -> Alcotest.failf "expected exactly one failure, got %d" (List.length os)
+  Alcotest.(check (list (pair string string)))
+    "both failures isolated at parse"
+    [ "bad", "parse"; "mixed", "parse" ]
+    (List.map
+       (fun (o : Batch.outcome) ->
+         ( o.Batch.job.Batch.name,
+           match o.Batch.result with
+           | Batch.Failed f -> f.stage
+           | Batch.Ok _ -> "ok" ))
+       (Batch.failed batch))
 
 let records_of batch =
   List.filter_map
@@ -349,9 +354,7 @@ let test_batch_previous_version_misses () =
         | Batch.Ok r ->
           let j = o.Batch.job in
           let program = Ph_pauli_ir.Parser.parse ~params:j.Batch.params j.Batch.source in
-          Cache.store c
-            (Cache.key ~config_fp ~text:(Batch.canonical_text program))
-            (Batch.payload_of_record r)
+          Batch.publish c (Batch.key ~config_fp program) ~verified:true r
         | Batch.Failed _ -> ())
       fresh.Batch.outcomes;
     Cache.create ~dir ()
@@ -385,6 +388,49 @@ let test_batch_stale_fingerprint_misses () =
     (List.for_all
        (fun (o : Batch.outcome) -> o.Batch.origin = Batch.Compiled)
        rerun.Batch.outcomes)
+
+(* An unverified compile is never published: a --no-verify batch
+   stores nothing, so a verified rerun on the same cache compiles
+   everything again instead of trusting unchecked records. *)
+let test_batch_unverified_never_published () =
+  let cache = Cache.create () in
+  let js = jobs_of (corpus ()) in
+  let unverified =
+    Batch.run ~cache ~verify:false ~jobs:2 ~config:ft_config
+      ~config_name:"ft/do" js
+  in
+  check_int "unverified run completes" (List.length js)
+    (Batch.ok_count unverified);
+  check_int "unverified run stores nothing" 0 (Cache.counters cache).Cache.stores;
+  let verified =
+    Batch.run ~cache ~jobs:2 ~config:ft_config ~config_name:"ft/do" js
+  in
+  check "verified rerun served nothing from the cache" true
+    (List.for_all
+       (fun (o : Batch.outcome) -> o.Batch.origin <> Batch.From_cache)
+       verified.Batch.outcomes);
+  check "verified rerun stores its compiles" true
+    ((Cache.counters cache).Cache.stores > 0)
+
+(* A hit written under other labels (another file name, another
+   writer's config label) comes back with the caller's. *)
+let test_batch_hit_carries_caller_labels () =
+  let cache = Cache.create () in
+  let js = jobs_of (corpus ()) in
+  let writer_js =
+    List.map (fun (j : Batch.job) -> { j with Batch.name = "w-" ^ j.Batch.name }) js
+  in
+  ignore (Batch.run ~cache ~config:ft_config ~config_name:"writer/PH" writer_js);
+  let warm = Batch.run ~cache ~config:ft_config ~config_name:"ft/do" js in
+  List.iter
+    (fun (o : Batch.outcome) ->
+      check "served from the cache" true (o.Batch.origin = Batch.From_cache);
+      match o.Batch.result with
+      | Batch.Ok r ->
+        check_str "caller's bench" o.Batch.job.Batch.name r.Report.bench;
+        check_str "caller's config" "ft/do" r.Report.config
+      | Batch.Failed _ -> Alcotest.fail "cache hit failed")
+    warm.Batch.outcomes
 
 let test_batch_coalesces_duplicates () =
   let js =
@@ -453,5 +499,9 @@ let () =
             test_batch_previous_version_misses;
           Alcotest.test_case "in-batch duplicates coalesce" `Quick
             test_batch_coalesces_duplicates;
+          Alcotest.test_case "unverified compiles are never published" `Quick
+            test_batch_unverified_never_published;
+          Alcotest.test_case "a hit carries the caller's labels" `Quick
+            test_batch_hit_carries_caller_labels;
         ] );
     ]

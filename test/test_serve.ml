@@ -10,6 +10,7 @@ module Protocol = Ph_serve.Protocol
 module Server = Ph_serve.Server
 module Client = Ph_serve.Client
 module Bomb = Ph_serve.Bomb
+module Batch = Ph_pool.Batch
 
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -193,6 +194,65 @@ let test_cache_hit_origin () =
           check_str "identical records"
             (str_of (Option.get (Json.member "record" first)))
             (str_of (Option.get (Json.member "record" second)))))
+
+(* Batch, serve and bench share one cache contract, so their entries are
+   mutually readable: an entry one writer published is a cache hit for
+   the other under the same config, and the hit is the writer's record
+   relabelled with the reader's [bench] and [config]. *)
+let test_cross_writer_cache () =
+  let config =
+    Result.get_ok
+      (Protocol.config_for ~backend:"ft" ~device:"manhattan"
+         ~schedule:Config.Gco ~lint:Lint.Diag.Off ~window:Config.default_window
+         ())
+  in
+  let serve_name =
+    Protocol.config_name ~backend:"ft" ~device:"manhattan" ~schedule:Config.Gco
+  in
+  let normalized (r : Report.record) ~bench ~config =
+    str_of
+      (Report.record_to_json
+         (Report.normalize_record { r with Report.bench; config }))
+  in
+  let served cache name src =
+    with_server ~cache (fun server ->
+        with_client server (fun conn ->
+            let response =
+              expect_ok
+                (Client.request conn ~id:(Json.Int 1)
+                   (Protocol.compile_request ~name src))
+            in
+            ( Json.member "origin" response,
+              Option.get (Json.member "record" response) )))
+  in
+  let batch_one cache name src =
+    match
+      (Batch.run ~cache ~config ~config_name:"batch/label"
+         [ Batch.job ~id:0 ~name src ])
+        .Batch.outcomes
+    with
+    | [ { Batch.result = Batch.Ok r; origin; _ } ] -> r, origin
+    | _ -> Alcotest.fail "batch job failed"
+  in
+  (* batch writes, serve reads *)
+  let cache = Ph_pool.Cache.create () in
+  let written, _ = batch_one cache "batch-writer" source in
+  let origin, record = served cache "serve-reader" source in
+  check "batch entry is a serve cache hit" true
+    (origin = Some (Json.String "cache"));
+  check_str "serve hit is the batch record, relabelled"
+    (normalized written ~bench:"serve-reader" ~config:serve_name)
+    (str_of record);
+  (* serve writes, batch reads *)
+  let cache = Ph_pool.Cache.create () in
+  let origin, record = served cache "serve-writer" source in
+  check "serve compiled" true (origin = Some (Json.String "compiled"));
+  let read, origin = batch_one cache "batch-reader" source in
+  check "serve entry is a batch cache hit" true (origin = Batch.From_cache);
+  check_str "batch hit is the serve record, relabelled"
+    (normalized (Report.record_of_json record) ~bench:"batch-reader"
+       ~config:"batch/label")
+    (normalized read ~bench:read.Report.bench ~config:read.Report.config)
 
 let test_ping_and_stats () =
   with_server (fun server ->
@@ -399,6 +459,8 @@ let () =
             test_compile_byte_identity;
           Alcotest.test_case "second identical request hits the cache" `Quick
             test_cache_hit_origin;
+          Alcotest.test_case "batch and serve read each other's entries" `Quick
+            test_cross_writer_cache;
           Alcotest.test_case "ping and stats" `Quick test_ping_and_stats;
           Alcotest.test_case "non-finite numbers are parse errors" `Quick
             test_non_finite_is_parse_error;
