@@ -69,16 +69,56 @@ let lint_level () = if !lint_enabled then Lint.Diag.Warn else Lint.Diag.Off
    cache fingerprint and needs no per-table plumbing. *)
 let bench_sched_jobs = ref 1
 
-let ph_ft ?schedule prog =
-  Pipelines.ph_ft ?schedule ~lint:(lint_level ())
-    ~sched_jobs:!bench_sched_jobs prog
+(* ---------- table columns: a PH config or a baseline ---------- *)
 
-let ph_sc ?schedule device prog =
-  Pipelines.ph_sc ?schedule ~lint:(lint_level ())
-    ~sched_jobs:!bench_sched_jobs device prog
+(* A column of a table.  A Paulihedral column is named by one
+   [Config.t]: the same value drives the compile ([Pipelines.ph]) and
+   keys the record cache ([Config.fingerprint]).  Baselines are not
+   config-driven; their key is a synthetic tag, with the device
+   identity folded in where routing matters. *)
+type column =
+  | Ph of Config.t
+  | Baseline of {
+      tag : string;
+      device : Coupling.t option;
+      run : Program.t -> Pipelines.run;
+    }
 
-let ph_it prog =
-  Pipelines.ph_it ~lint:(lint_level ()) ~sched_jobs:!bench_sched_jobs prog
+(* The bench-wide knobs on a PH config: the --lint level, and
+   --sched-jobs (output-invariant, so in no fingerprint). *)
+let configure cfg =
+  { cfg with Config.lint = lint_level (); sched_jobs = !bench_sched_jobs }
+
+let ph cfg prog = Pipelines.ph (configure cfg) prog
+
+(* Both kinds of key embed [Config.version_tag], so a version bump
+   invalidates every entry. *)
+let fingerprint = function
+  | Ph cfg -> Config.fingerprint (configure cfg)
+  | Baseline { tag; device; _ } ->
+    Printf.sprintf "v=%s;baseline=%s%s" Config.version_tag tag
+      (match device with
+      | None -> ""
+      | Some d -> ";" ^ Config.fingerprint (Config.sc d))
+
+(* A benchmark's device: none on the FT backend, Manhattan-65 on SC. *)
+let device_of (b : Suite.t) =
+  match b.Suite.backend with Suite.FT -> None | Suite.SC -> Some sc_device
+
+let ph_on b schedule =
+  Ph
+    (match device_of b with
+    | None -> Config.ft ~schedule ()
+    | Some d -> Config.sc ~schedule d)
+
+let baseline_on b tag ~ft ~sc =
+  let device = device_of b in
+  Baseline
+    {
+      tag;
+      device;
+      run = (match device with None -> ft | Some d -> sc d);
+    }
 
 (* ---------- pooled tables & record cache (--jobs / --cache) ---------- *)
 
@@ -90,7 +130,8 @@ let bench_cache : Ph_pool.Cache.t option ref = ref None
    record came out of the cache. *)
 type cell = { c_record : Report.record; c_verified : bool }
 
-let cell ~bench ~config prog (r : Pipelines.run) =
+let compile_cell ~bench ~config prog column =
+  let r = match column with Ph cfg -> ph cfg prog | Baseline b -> b.run prog in
   {
     c_record =
       Ph_pool.Batch.record ~name:bench ~config_name:config prog
@@ -98,37 +139,19 @@ let cell ~bench ~config prog (r : Pipelines.run) =
     c_verified = Pipelines.verified r;
   }
 
-(* Cache fingerprints.  The PH pipelines reconstruct the exact [Config]
-   that [Pipelines.ph_*] builds, so [Config.fingerprint] describes the
-   compile faithfully; the baselines are not config-driven and get a
-   synthetic tag (with the device identity folded in where routing
-   matters).  Both embed [Config.version_tag], so a version bump
-   invalidates every entry. *)
-let fp_ph_ft ?schedule () =
-  Config.fingerprint (Config.ft ?schedule ~lint:(lint_level ()) ())
-
-let fp_ph_sc ?schedule device =
-  Config.fingerprint (Config.sc ?schedule ~lint:(lint_level ()) device)
-
-let fp_baseline ?device tag =
-  Printf.sprintf "v=%s;baseline=%s%s" Config.version_tag tag
-    (match device with
-    | None -> ""
-    | Some d -> ";" ^ Config.fingerprint (Config.sc d))
-
-(* Run one cell through the record cache when --cache is given, with
+(* Run one column through the record cache when --cache is given, with
    the cache contract of [Ph_pool.Batch] (shared with `phc batch` and
    the serve daemon): only verified runs are published, and a hit comes
    back with this cell's labels, so it is trusted without recompiling. *)
-let cached ~bench ~config ~fp prog (f : unit -> Pipelines.run) =
+let run_cell ~bench ~config prog column =
   match !bench_cache with
-  | None -> cell ~bench ~config prog (f ())
+  | None -> compile_cell ~bench ~config prog column
   | Some cache -> (
-    let key = Ph_pool.Batch.key ~config_fp:fp prog in
+    let key = Ph_pool.Batch.key ~config_fp:(fingerprint column) prog in
     match Ph_pool.Batch.lookup cache key ~bench ~config with
     | Some r -> { c_record = r; c_verified = true }
     | None ->
-      let c = cell ~bench ~config prog (f ()) in
+      let c = compile_cell ~bench ~config prog column in
       Ph_pool.Batch.publish cache key ~verified:c.c_verified c.c_record;
       c)
 
@@ -136,17 +159,15 @@ let emit_cell c =
   if !json_enabled then
     json_records := Report.record_to_json c.c_record :: !json_records
 
-let cell_cols ?(time = true) c =
+let cell_cols c =
   let m = c.c_record.Report.metrics in
-  let base =
-    [
-      string_of_int m.Report.cnot;
-      string_of_int m.Report.single;
-      string_of_int m.Report.total;
-      string_of_int m.Report.depth;
-    ]
-  in
-  if time then base @ [ Printf.sprintf "%.2f" m.Report.seconds ] else base
+  [
+    string_of_int m.Report.cnot;
+    string_of_int m.Report.single;
+    string_of_int m.Report.total;
+    string_of_int m.Report.depth;
+    Printf.sprintf "%.2f" m.Report.seconds;
+  ]
 
 let cell_checked c name =
   if c.c_verified then name else name ^ " !UNVERIFIED"
@@ -278,163 +299,178 @@ let table1 filters =
             ] );
         ] ))
 
-(* ---------- Table 2: PH vs TK on both backends ---------- *)
+(* ---------- tables: a suite of benchmarks x a list of columns ---------- *)
 
-let table2_sc filters =
-  header "Table 2 (SC backend, Manhattan-65): PH vs PHX vs TK, each + generic stage"
-    [ "config"; "cnot"; "single"; "total"; "depth"; "time(s)"; "gap" ];
-  let cells =
-    pooled
-      (List.filter (wanted filters) (Suite.sc ()))
-      (fun (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        let ph =
-          analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-sc/PH"
-               ~fp:(fp_ph_sc sc_device) prog (fun () -> ph_sc sc_device prog))
-        in
-        let phx =
-          analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-sc/PHX"
-               ~fp:(fp_ph_sc ~schedule:Config.Phoenix_like sc_device)
-               prog
-               (fun () -> ph_sc ~schedule:Config.Phoenix_like sc_device prog))
-        in
-        let tk =
-          analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-sc/TK"
-               ~fp:(fp_baseline ~device:sc_device "tk") prog (fun () ->
-                 Pipelines.tk_sc sc_device prog))
-        in
-        ( [ ph; phx; tk ],
-          [
-            b.Suite.name, (cell_checked ph "PH" :: cell_cols ph) @ [ gap_col ph ];
-            "", (cell_checked phx "PHX" :: cell_cols phx) @ [ gap_col phx ];
-            "", (cell_checked tk "TK" :: cell_cols tk) @ [ gap_col tk ];
-          ] ))
-  in
-  gap_geomeans cells;
-  phx_geomeans ~base_cfg:"table2-sc/PH" ~phx_cfg:"table2-sc/PHX" ~base_name:"PH"
+type table = {
+  name : string;  (** a cell's record config is [name ^ "/" ^ label] *)
+  title : string;
+  suite : unit -> Suite.t list;
+  columns : Suite.t -> (string * column) list;  (** (label, column) *)
+}
+
+(* Every column of every wanted benchmark, pooled; [rows b prog cells]
+   prints one benchmark's (label, cell) list.  Returns the merged cells
+   for table-level aggregates. *)
+let run_table ?(analyze = false) t filters rows =
+  pooled
+    (List.filter (wanted filters) (t.suite ()))
+    (fun (b : Suite.t) ->
+      let prog = b.Suite.generate () in
+      let cells =
+        List.map
+          (fun (label, column) ->
+            let c =
+              run_cell ~bench:b.Suite.name ~config:(t.name ^ "/" ^ label) prog
+                column
+            in
+            label, if analyze then analyzed prog c else c)
+          (t.columns b)
+      in
+      List.map snd cells, rows b prog cells)
+
+(* One row per column: label, metrics, then the table's [extra] columns. *)
+let column_rows extra (b : Suite.t) _prog cells =
+  List.mapi
+    (fun i (label, c) ->
+      ( (if i = 0 then b.Suite.name else ""),
+        (cell_checked c label :: cell_cols c) @ extra c ))
     cells
 
-let table2_ft filters =
-  header "Table 2 (FT backend): PH vs PHX vs TK, each + generic stage"
-    [ "config"; "cnot"; "single"; "total"; "depth"; "time(s)"; "gap" ];
+(* cnot/single/total/depth of [c] relative to [base]. *)
+let deltas base c =
+  let b = base.c_record.Report.metrics and m = c.c_record.Report.metrics in
+  [
+    pct b.Report.cnot m.Report.cnot;
+    pct b.Report.single m.Report.single;
+    pct b.Report.total m.Report.total;
+    pct b.Report.depth m.Report.depth;
+  ]
+
+(* ---------- Table 2 and scale: PH vs PHX (vs TK) ---------- *)
+
+let table2_columns b =
+  [
+    "PH", ph_on b Config.Depth_oriented;
+    "PHX", ph_on b Config.Phoenix_like;
+    ( "TK",
+      baseline_on b "tk"
+        ~ft:(fun p -> Pipelines.tk_ft p)
+        ~sc:(fun d p -> Pipelines.tk_sc d p) );
+  ]
+
+let table2_sc =
+  {
+    name = "table2-sc";
+    title =
+      "Table 2 (SC backend, Manhattan-65): PH vs PHX vs TK, each + generic stage";
+    suite = (fun () -> Suite.sc ());
+    columns = table2_columns;
+  }
+
+let table2_ft =
+  {
+    name = "table2-ft";
+    title = "Table 2 (FT backend): PH vs PHX vs TK, each + generic stage";
+    suite = (fun () -> Suite.ft ());
+    columns = table2_columns;
+  }
+
+(* DO and PHX compiles of the 64-256 qubit scale suite (FT backend),
+   with the scheduling stage's wall time broken out — the table the
+   schedule_s speedup target is measured on. *)
+let scale =
+  {
+    name = "scale";
+    title = "Scale: DO vs PHX scheduling at 64-256 qubits (FT backend)";
+    suite = Suite.scale;
+    columns =
+      (fun b ->
+        [ "PH", ph_on b Config.Depth_oriented; "PHX", ph_on b Config.Phoenix_like ]);
+  }
+
+(* One row per column with the analyzer's gap (and, with [sched], the
+   scheduling stage's wall time), then the gap and PHX/PH geomeans;
+   [base_name] names the PH column in the PHX footer. *)
+let table2 ?(sched = false) ~base_name t filters =
+  let sched_col c =
+    if sched then [ Printf.sprintf "%.3f" c.c_record.Report.trace.Report.schedule_s ]
+    else []
+  in
+  header t.title
+    ([ "config"; "cnot"; "single"; "total"; "depth"; "time(s)" ]
+    @ (if sched then [ "sched(s)" ] else [])
+    @ [ "gap" ]);
   let cells =
-    pooled
-      (List.filter (wanted filters) (Suite.ft ()))
-      (fun (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        let ph =
-          analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-ft/PH"
-               ~fp:(fp_ph_ft ~schedule:Config.Depth_oriented ())
-               prog
-               (fun () -> ph_ft ~schedule:Config.Depth_oriented prog))
-        in
-        let phx =
-          analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-ft/PHX"
-               ~fp:(fp_ph_ft ~schedule:Config.Phoenix_like ())
-               prog
-               (fun () -> ph_ft ~schedule:Config.Phoenix_like prog))
-        in
-        let tk =
-          analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-ft/TK"
-               ~fp:(fp_baseline "tk") prog (fun () -> Pipelines.tk_ft prog))
-        in
-        ( [ ph; phx; tk ],
-          [
-            b.Suite.name, (cell_checked ph "PH" :: cell_cols ph) @ [ gap_col ph ];
-            "", (cell_checked phx "PHX" :: cell_cols phx) @ [ gap_col phx ];
-            "", (cell_checked tk "TK" :: cell_cols tk) @ [ gap_col tk ];
-          ] ))
+    run_table ~analyze:true t filters
+      (column_rows (fun c -> sched_col c @ [ gap_col c ]))
   in
   gap_geomeans cells;
-  phx_geomeans ~base_cfg:"table2-ft/PH" ~phx_cfg:"table2-ft/PHX" ~base_name:"PH"
+  phx_geomeans ~base_cfg:(t.name ^ "/PH") ~phx_cfg:(t.name ^ "/PHX") ~base_name
     cells
 
 (* ---------- Table 3: PH vs the QAOA compiler ---------- *)
 
 let table3 filters =
-  header "Table 3 (Manhattan-65): PH vs algorithm-specific QAOA compiler"
-    [ "config"; "cnot"; "single"; "total"; "depth"; "time(s)" ];
-  ignore @@ pooled
-    (List.filter
-       (fun (b : Suite.t) ->
-         wanted filters b && b.Suite.category = "QAOA" && b.Suite.name.[0] = 'R')
-       (Suite.sc ()))
-    (fun (b : Suite.t) ->
-      let prog = b.Suite.generate () in
-      let ph =
-        cached ~bench:b.Suite.name ~config:"table3/PH" ~fp:(fp_ph_sc sc_device)
-          prog (fun () -> ph_sc sc_device prog)
-      in
-      let phx =
-        cached ~bench:b.Suite.name ~config:"table3/PHX"
-          ~fp:(fp_ph_sc ~schedule:Config.Phoenix_like sc_device)
-          prog
-          (fun () -> ph_sc ~schedule:Config.Phoenix_like sc_device prog)
-      in
-      let qc =
-        cached ~bench:b.Suite.name ~config:"table3/QAOA_comp"
-          ~fp:(fp_baseline ~device:sc_device "qaoa") prog (fun () ->
-            Pipelines.qaoa_sc sc_device prog)
-      in
-      ( [ ph; phx; qc ],
-        [
-          b.Suite.name, cell_checked ph "PH" :: cell_cols ph;
-          "", cell_checked phx "PHX" :: cell_cols phx;
-          "", cell_checked qc "QAOA_comp" :: cell_cols qc;
-        ] ))
+  let t =
+    {
+      name = "table3";
+      title = "Table 3 (Manhattan-65): PH vs algorithm-specific QAOA compiler";
+      suite =
+        (fun () ->
+          List.filter
+            (fun (b : Suite.t) -> b.Suite.category = "QAOA" && b.Suite.name.[0] = 'R')
+            (Suite.sc ()));
+      columns =
+        (fun b ->
+          [
+            "PH", ph_on b Config.Depth_oriented;
+            "PHX", ph_on b Config.Phoenix_like;
+            ( "QAOA_comp",
+              Baseline
+                {
+                  tag = "qaoa";
+                  device = Some sc_device;
+                  run = Pipelines.qaoa_sc sc_device;
+                } );
+          ]);
+    }
+  in
+  header t.title [ "config"; "cnot"; "single"; "total"; "depth"; "time(s)" ];
+  ignore @@ run_table t filters (column_rows (fun _ -> []))
 
 (* ---------- Table 4 left: DO vs GCO ---------- *)
 
 let table4_sched filters =
-  header
-    "Table 4 (left): DO and PHX vs GCO scheduling (deltas relative to GCO)"
-    [ "config"; "cnot"; "single"; "total"; "depth" ];
-  let cells =
-    pooled
-      (List.filter (wanted filters) (Suite.all ()))
-      (fun (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        let compiled schedule config =
-          match b.Suite.backend with
-          | Suite.FT ->
-            cached ~bench:b.Suite.name ~config ~fp:(fp_ph_ft ~schedule ()) prog
-              (fun () -> ph_ft ~schedule prog)
-          | Suite.SC ->
-            cached ~bench:b.Suite.name ~config ~fp:(fp_ph_sc ~schedule sc_device)
-              prog
-              (fun () -> ph_sc ~schedule sc_device prog)
-        in
-        let gco = compiled Config.Gco "table4-sched/GCO" in
-        let dor = compiled Config.Depth_oriented "table4-sched/DO" in
-        let phx = compiled Config.Phoenix_like "table4-sched/PHX" in
-        let g = gco.c_record.Report.metrics in
-        let deltas (m : Report.metrics) =
+  let t =
+    {
+      name = "table4-sched";
+      title = "Table 4 (left): DO and PHX vs GCO scheduling (deltas relative to GCO)";
+      suite = (fun () -> Suite.all ());
+      columns =
+        (fun b ->
           [
-            pct g.Report.cnot m.Report.cnot;
-            pct g.Report.single m.Report.single;
-            pct g.Report.total m.Report.total;
-            pct g.Report.depth m.Report.depth;
-          ]
-        in
-        ( [ gco; dor; phx ],
-          (* DO differs from GCO only through layer choice, so it is N/A
-             on single-block programs; PHX rewrites inside the block and
-             stays meaningful *)
-          (if Program.block_count prog <= 1 then
-             [ b.Suite.name, [ "DO"; "N/A"; "N/A"; "N/A"; "N/A" ] ]
-           else
-             [
-               ( cell_checked gco (cell_checked dor b.Suite.name),
-                 "DO" :: deltas dor.c_record.Report.metrics );
-             ])
-          @ [ cell_checked phx "", "PHX" :: deltas phx.c_record.Report.metrics ]
-        ))
+            "GCO", ph_on b Config.Gco;
+            "DO", ph_on b Config.Depth_oriented;
+            "PHX", ph_on b Config.Phoenix_like;
+          ]);
+    }
+  in
+  header t.title [ "config"; "cnot"; "single"; "total"; "depth" ];
+  let cells =
+    run_table t filters (fun b prog cells ->
+        let gco = List.assoc "GCO" cells in
+        let dor = List.assoc "DO" cells and phx = List.assoc "PHX" cells in
+        (* DO differs from GCO only through layer choice, so it is N/A
+           on single-block programs; PHX rewrites inside the block and
+           stays meaningful *)
+        (if Program.block_count prog <= 1 then
+           [ b.Suite.name, [ "DO"; "N/A"; "N/A"; "N/A"; "N/A" ] ]
+         else
+           [
+             ( cell_checked gco (cell_checked dor b.Suite.name),
+               "DO" :: deltas gco dor );
+           ])
+        @ [ cell_checked phx "", "PHX" :: deltas gco phx ])
   in
   phx_geomeans ~base_cfg:"table4-sched/GCO" ~phx_cfg:"table4-sched/PHX"
     ~base_name:"GCO" cells
@@ -444,55 +480,33 @@ let table4_sched filters =
 (* Baseline: same scheduling, naive per-string synthesis, same generic
    stage (peephole; + router on SC) — the paper's "naive synthesis and
    Qiskit_L3". *)
-let scheduled_naive (b : Suite.t) prog =
-  let scheduled = Ph_schedule.Gco.run prog in
-  match b.Suite.backend with
-  | Suite.FT -> Pipelines.naive_ft scheduled
-  | Suite.SC -> Pipelines.naive_sc sc_device scheduled
-
 let table4_bc filters =
-  header "Table 4 (right): block-wise compilation vs naive synthesis (deltas)"
-    [ "config"; "cnot"; "single"; "total"; "depth" ];
-  ignore @@ pooled
-    (List.filter (wanted filters) (Suite.all ()))
-    (fun (b : Suite.t) ->
-      let prog = b.Suite.generate () in
-      let compiled schedule config =
-        match b.Suite.backend with
-        | Suite.FT ->
-          cached ~bench:b.Suite.name ~config ~fp:(fp_ph_ft ~schedule ()) prog
-            (fun () -> ph_ft ~schedule prog)
-        | Suite.SC ->
-          cached ~bench:b.Suite.name ~config ~fp:(fp_ph_sc ~schedule sc_device)
-            prog
-            (fun () -> ph_sc ~schedule sc_device prog)
-      in
-      let ph = compiled Config.Gco "table4-bc/PH" in
-      let phx = compiled Config.Phoenix_like "table4-bc/PHX" in
-      let base =
-        cached ~bench:b.Suite.name ~config:"table4-bc/naive"
-          ~fp:
-            (match b.Suite.backend with
-            | Suite.FT -> fp_baseline "gco+naive"
-            | Suite.SC -> fp_baseline ~device:sc_device "gco+naive")
-          prog
-          (fun () -> scheduled_naive b prog)
-      in
-      let n = base.c_record.Report.metrics in
-      let deltas (m : Report.metrics) =
-        [
-          pct n.Report.cnot m.Report.cnot;
-          pct n.Report.single m.Report.single;
-          pct n.Report.total m.Report.total;
-          pct n.Report.depth m.Report.depth;
-        ]
-      in
-      ( [ ph; phx; base ],
-        [
-          ( cell_checked ph (cell_checked base b.Suite.name),
-            "PH" :: deltas ph.c_record.Report.metrics );
-          cell_checked phx "", "PHX" :: deltas phx.c_record.Report.metrics;
-        ] ))
+  let t =
+    {
+      name = "table4-bc";
+      title = "Table 4 (right): block-wise compilation vs naive synthesis (deltas)";
+      suite = (fun () -> Suite.all ());
+      columns =
+        (fun b ->
+          [
+            "PH", ph_on b Config.Gco;
+            "PHX", ph_on b Config.Phoenix_like;
+            ( "naive",
+              baseline_on b "gco+naive"
+                ~ft:(fun p -> Pipelines.naive_ft (Ph_schedule.Gco.run p))
+                ~sc:(fun d p -> Pipelines.naive_sc d (Ph_schedule.Gco.run p)) );
+          ]);
+    }
+  in
+  header t.title [ "config"; "cnot"; "single"; "total"; "depth" ];
+  ignore
+  @@ run_table t filters (fun b _ cells ->
+         let base = List.assoc "naive" cells in
+         let ph = List.assoc "PH" cells and phx = List.assoc "PHX" cells in
+         [
+           cell_checked ph (cell_checked base b.Suite.name), "PH" :: deltas base ph;
+           cell_checked phx "", "PHX" :: deltas base phx;
+         ])
 
 (* ---------- Figure 11: end-to-end QAOA success probability ---------- *)
 
@@ -546,7 +560,7 @@ let fig11 filters =
             trace = Report.empty_trace;
           }
         in
-        let ph = ph_sc device prog in
+        let ph = ph (Config.sc device) prog in
         let eval r seed =
           Ph_sim.Qaoa_run.evaluate ~noise ~trajectories ~seed g (kernel_of r) ~beta
         in
@@ -620,7 +634,7 @@ let ablation filters =
     end
   in
   let sched_variant schedule prog =
-    (ph_ft ~schedule prog).Pipelines.metrics
+    (ph (Config.ft ~schedule ()) prog).Pipelines.metrics
   in
   run "UCCSD-12"
     [
@@ -637,8 +651,8 @@ let ablation filters =
     [ "do-padding", do_padding true; "do-nopad", do_padding false ];
   run "UCCSD-8"
     [ "sc-root-lcc", sc_root `Largest_component; "sc-root-first", sc_root `First_core ];
-  let it_backend prog = (ph_it prog).Pipelines.metrics in
-  let ft_backend prog = (ph_ft prog).Pipelines.metrics in
+  let it_backend prog = (ph (Config.ion_trap ()) prog).Pipelines.metrics in
+  let ft_backend prog = (ph (Config.ft ()) prog).Pipelines.metrics in
   run "Heisen-1D"
     [ "backend-ft", ft_backend; "backend-ion", it_backend ]
 
@@ -687,15 +701,16 @@ let timing () =
       Test.make ~name:"table1/naive-UCCSD-8"
         (stage (fun () -> ignore (Ph_synthesis.Naive.synthesize uccsd8)));
       Test.make ~name:"table2-sc/ph-UCCSD-8"
-        (stage (fun () -> ignore (ph_sc sc_device uccsd8)));
+        (stage (fun () -> ignore (ph (Config.sc sc_device) uccsd8)));
       Test.make ~name:"table2-ft/ph-Rand-30"
-        (stage (fun () -> ignore (ph_ft rand30)));
+        (stage (fun () -> ignore (ph (Config.ft ()) rand30)));
       Test.make ~name:"table3/ph-REG-20-4"
-        (stage (fun () -> ignore (ph_sc sc_device reg)));
+        (stage (fun () -> ignore (ph (Config.sc sc_device) reg)));
       Test.make ~name:"table4/do-Heisen-2D"
-        (stage (fun () -> ignore (ph_ft ~schedule:Config.Depth_oriented heisen)));
+        (stage (fun () ->
+             ignore (ph (Config.ft ~schedule:Config.Depth_oriented ()) heisen)));
       Test.make ~name:"fig11/ph-REG-n7-d4"
-        (stage (fun () -> ignore (ph_sc Devices.melbourne fig11_prog)));
+        (stage (fun () -> ignore (ph (Config.sc Devices.melbourne) fig11_prog)));
     ]
     @ (* schedule_s study: the DO scheduler alone over the 64-256 qubit
          scale suite, no synthesis — the rows the arena rewrite targets *)
@@ -730,55 +745,19 @@ let timing () =
         per_test)
     results
 
-(* ---------- scale: the scheduler-scaling study ---------- *)
-
-(* DO and PHX compiles of the 64-256 qubit scale suite (FT backend),
-   with the scheduling stage's wall time broken out — the table the
-   schedule_s speedup target is measured on. *)
-let scale_table filters =
-  header "Scale: DO vs PHX scheduling at 64-256 qubits (FT backend)"
-    [ "config"; "cnot"; "single"; "total"; "depth"; "time(s)"; "sched(s)"; "gap" ];
-  let cells =
-    pooled
-      (List.filter (wanted filters) (Suite.scale ()))
-      (fun (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        let compiled schedule config =
-          analyzed prog
-            (cached ~bench:b.Suite.name ~config ~fp:(fp_ph_ft ~schedule ()) prog
-               (fun () -> ph_ft ~schedule prog))
-        in
-        let ph = compiled Config.Depth_oriented "scale/PH" in
-        let phx = compiled Config.Phoenix_like "scale/PHX" in
-        let sched c =
-          Printf.sprintf "%.3f" c.c_record.Report.trace.Report.schedule_s
-        in
-        ( [ ph; phx ],
-          [
-            ( b.Suite.name,
-              (cell_checked ph "PH" :: cell_cols ph)
-              @ [ sched ph; gap_col ph ] );
-            ( "",
-              (cell_checked phx "PHX" :: cell_cols phx)
-              @ [ sched phx; gap_col phx ] );
-          ] ))
-  in
-  gap_geomeans cells;
-  phx_geomeans ~base_cfg:"scale/PH" ~phx_cfg:"scale/PHX" ~base_name:"DO" cells
-
 (* ---------- driver ---------- *)
 
 let experiments =
   [
     "table1", table1;
-    "table2-sc", table2_sc;
-    "table2-ft", table2_ft;
+    "table2-sc", table2 ~base_name:"PH" table2_sc;
+    "table2-ft", table2 ~base_name:"PH" table2_ft;
     "table3", table3;
     "table4-sched", table4_sched;
     "table4-bc", table4_bc;
     "fig11", fig11;
     "ablation", ablation;
-    "scale", scale_table;
+    "scale", table2 ~sched:true ~base_name:"DO" scale;
   ]
 
 let usage () =
@@ -806,53 +785,34 @@ let rec extract_flag key acc = function
 
 let default_db = "perf/history.csv"
 
-(* Fresh PH compiles of the table-2 suites (never cache-served: the
-   counters must measure work actually performed here).  Row identity
-   matches the table runners so imported BENCH_*.json rows and freshly
-   recorded rows land on the same (bench, config) keys. *)
+(* Fresh compiles of the PH columns of the table-2 and scale tables
+   (never cache-served: the counters must measure work actually
+   performed here), under the tables' own record labels, so imported
+   BENCH_*.json rows and freshly recorded rows land on the same
+   (bench, config) keys. *)
 let history_records suite =
-  let ft () = List.map (fun b -> `Ft b) (Suite.ft ()) in
-  let sc () = List.map (fun b -> `Sc b) (Suite.sc ()) in
-  let scale () = List.map (fun b -> `Scale b) (Suite.scale ()) in
-  let items =
+  let tables =
     match suite with
-    | "ft" -> ft ()
-    | "sc" -> sc ()
-    | "scale" -> scale ()
-    | "all" -> ft () @ sc () @ scale ()
+    | "ft" -> [ table2_ft ]
+    | "sc" -> [ table2_sc ]
+    | "scale" -> [ scale ]
+    | "all" -> [ table2_ft; table2_sc; scale ]
     | _ -> usage ()
   in
   Ph_pool.Pool.map ~jobs:!bench_jobs
-    (fun item ->
-      let record ~bench ~config prog run =
-        analyzed_record prog (cell ~bench ~config prog run).c_record
-      in
-      match item with
-      | `Ft (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        [
-          record ~bench:b.Suite.name ~config:"table2-ft/PH" prog
-            (ph_ft ~schedule:Config.Depth_oriented prog);
-          record ~bench:b.Suite.name ~config:"table2-ft/PHX" prog
-            (ph_ft ~schedule:Config.Phoenix_like prog);
-        ]
-      | `Sc (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        [
-          record ~bench:b.Suite.name ~config:"table2-sc/PH" prog
-            (ph_sc sc_device prog);
-          record ~bench:b.Suite.name ~config:"table2-sc/PHX" prog
-            (ph_sc ~schedule:Config.Phoenix_like sc_device prog);
-        ]
-      | `Scale (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        [
-          record ~bench:b.Suite.name ~config:"scale/PH" prog
-            (ph_ft ~schedule:Config.Depth_oriented prog);
-          record ~bench:b.Suite.name ~config:"scale/PHX" prog
-            (ph_ft ~schedule:Config.Phoenix_like prog);
-        ])
-    items
+    (fun (t, (b : Suite.t)) ->
+      let prog = b.Suite.generate () in
+      List.filter_map
+        (function
+          | label, (Ph _ as column) ->
+            let c =
+              compile_cell ~bench:b.Suite.name ~config:(t.name ^ "/" ^ label)
+                prog column
+            in
+            Some (analyzed_record prog c.c_record)
+          | _, Baseline _ -> None)
+        (t.columns b))
+    (List.concat_map (fun t -> List.map (fun b -> t, b) (t.suite ())) tables)
   |> List.concat_map (function Stdlib.Ok rs -> rs | Stdlib.Error e -> raise e)
 
 let rows_of_records ~commit records =

@@ -64,7 +64,9 @@ let () =
          (the represented Hamiltonian) permits it, but it would merge the
          repeated Trotter steps and change the approximation error this
          example is measuring. *)
-      let compiled = Compiler.compile_ft ~schedule:Config.Program_order program in
+      let compiled =
+        Compiler.compile (Config.ft ~schedule:Config.Program_order ()) program
+      in
       assert (Ph_verify.Pauli_frame.verify_ft compiled.Compiler.circuit
                 ~trace:compiled.Compiler.rotations);
       Printf.printf "%8d %12.6f %12.6f %10d\n" steps
@@ -75,7 +77,9 @@ let () =
   (* Paper scale: 30 qubits — far beyond dense simulation, still
      compiled and certified in milliseconds. *)
   let program = Ph_benchmarks.Heisenberg.paper_benchmark 2 in
-  let compiled = Compiler.compile_ft ~schedule:Config.Depth_oriented program in
+  let compiled =
+    Compiler.compile (Config.ft ~schedule:Config.Depth_oriented ()) program
+  in
   Printf.printf
     "\nHeisen-2D at paper scale (30 qubits, %d strings): %s\n"
     (Program.term_count program)

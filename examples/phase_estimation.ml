@@ -52,7 +52,7 @@ let () =
   let program =
     Trotter.trotterize ~n_qubits ~terms:hamiltonian_terms ~time ~steps:1
   in
-  let kernel = Compiler.compile_ft program in
+  let kernel = Compiler.compile (Config.ft ()) program in
   Printf.printf "kernel: %s\n"
     (Format.asprintf "%a" Report.pp_metrics kernel.Compiler.metrics);
 

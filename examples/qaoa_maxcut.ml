@@ -42,7 +42,7 @@ let () =
     outcome
   in
   Printf.printf "\ncompiling for the 16-qubit Melbourne topology...\n";
-  let ph = evaluate "PH" (Pipelines.ph_sc ~noise device program) in
+  let ph = evaluate "PH" (Pipelines.ph (Config.sc ~noise device) program) in
   (* Baseline: adjacency-order synthesis + trivial-layout routing, the
      generic-compiler strength of the paper's study (see bench fig11). *)
   let base =

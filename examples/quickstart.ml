@@ -34,7 +34,7 @@ let () =
 
   (* Fault-tolerant backend: all-to-all connectivity, cancellation-
      oriented synthesis. *)
-  let ft = Compiler.compile_ft program in
+  let ft = Compiler.compile (Config.ft ()) program in
   Format.printf "@.FT backend:   %a@." Report.pp_metrics ft.Compiler.metrics;
   Format.printf "verified (Pauli frame): %b@."
     (Ph_verify.Pauli_frame.verify_ft ft.Compiler.circuit ~trace:ft.Compiler.rotations);
@@ -43,7 +43,7 @@ let () =
 
   (* Superconducting backend: a 5-qubit line device. *)
   let coupling = Ph_hardware.Devices.line 5 in
-  let sc = Compiler.compile_sc ~coupling program in
+  let sc = Compiler.compile (Config.sc coupling) program in
   Format.printf "@.SC backend (5-qubit line): %a@." Report.pp_metrics sc.Compiler.metrics;
   Format.printf "verified on hardware: %b@."
     (Ph_verify.Pauli_frame.verify_sc ~circuit:sc.Compiler.circuit

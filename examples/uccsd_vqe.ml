@@ -31,16 +31,17 @@ let () =
 
   Printf.printf "Fault-tolerant backend:\n";
   describe "naive" (Pipelines.naive_ft ansatz);
-  describe "PH (GCO)" (Pipelines.ph_ft ~schedule:Config.Gco ansatz);
-  describe "PH (DO)" (Pipelines.ph_ft ~schedule:Config.Depth_oriented ansatz);
+  describe "PH (GCO)" (Pipelines.ph (Config.ft ~schedule:Config.Gco ()) ansatz);
+  describe "PH (DO)"
+    (Pipelines.ph (Config.ft ~schedule:Config.Depth_oriented ()) ansatz);
   describe "tket-like (pairwise)" (Pipelines.tk_ft ansatz);
   describe "tket-like (sets)" (Pipelines.tk_ft ~strategy:`Sets ansatz);
 
   Printf.printf "\nTrapped-ion backend (all-to-all, native MS gates):\n";
-  describe "PH (ion)" (Pipelines.ph_it ansatz);
+  describe "PH (ion)" (Pipelines.ph (Config.ion_trap ()) ansatz);
 
   let device = Ph_hardware.Devices.manhattan in
   Printf.printf "\nSuperconducting backend (IBM Manhattan, 65 qubits):\n";
   describe "naive + router" (Pipelines.naive_sc device ansatz);
-  describe "PH" (Pipelines.ph_sc device ansatz);
+  describe "PH" (Pipelines.ph (Config.sc device) ansatz);
   describe "tket-like + router" (Pipelines.tk_sc device ansatz)

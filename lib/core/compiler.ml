@@ -292,9 +292,3 @@ let compile config prog =
     certificate;
     opt_program = Option.map (fun (o : Ph_opt.Pass.t) -> o.Ph_opt.Pass.program) opt;
   }
-
-let compile_ft ?schedule ?lint ?window ?sched_jobs prog =
-  compile (Config.ft ?schedule ?lint ?window ?sched_jobs ()) prog
-
-let compile_sc ?schedule ?noise ?lint ?window ?sched_jobs ~coupling prog =
-  compile (Config.sc ?schedule ?noise ?lint ?window ?sched_jobs coupling) prog

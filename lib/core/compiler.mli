@@ -51,23 +51,3 @@ val lint_errors : output -> Ph_lint.Diag.t list
     trace: SC outputs against their qubit layouts, FT / ion-trap
     outputs against the identity residue ({!Ph_verify.Pauli_frame.verify}). *)
 val verified : output -> bool
-
-(** [compile_ft program] with default FT configuration. *)
-val compile_ft :
-  ?schedule:Config.schedule ->
-  ?lint:Ph_lint.Diag.level ->
-  ?window:int ->
-  ?sched_jobs:int ->
-  Program.t ->
-  output
-
-(** [compile_sc ~coupling program] with default SC configuration. *)
-val compile_sc :
-  ?schedule:Config.schedule ->
-  ?noise:Noise_model.t ->
-  ?lint:Ph_lint.Diag.level ->
-  ?window:int ->
-  ?sched_jobs:int ->
-  coupling:Coupling.t ->
-  Program.t ->
-  output

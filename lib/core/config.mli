@@ -68,8 +68,8 @@ val default_window : int
     enough to flag a schedule an order of magnitude off its floor. *)
 val default_gap_threshold : float
 
-(** FT defaults: DO scheduling (the paper's headline FT configuration
-    pairs naturally with either; see Table 4), peephole on. *)
+(** FT defaults: GCO scheduling (the paper's FT results pair naturally
+    with either GCO or DO; see Table 4), peephole on. *)
 val ft :
   ?schedule:schedule ->
   ?lint:Ph_lint.Diag.level ->

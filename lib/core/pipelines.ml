@@ -13,7 +13,8 @@ type run = {
   trace : Report.trace;
 }
 
-let of_output (o : Compiler.output) =
+let ph config prog =
+  let (o : Compiler.output) = Compiler.compile config prog in
   {
     circuit = o.circuit;
     rotations = o.rotations;
@@ -22,19 +23,6 @@ let of_output (o : Compiler.output) =
     metrics = o.metrics;
     trace = o.trace;
   }
-
-let ph_ft ?schedule ?lint ?window ?sched_jobs prog =
-  of_output (Compiler.compile_ft ?schedule ?lint ?window ?sched_jobs prog)
-
-let ph_sc ?schedule ?noise ?lint ?window ?sched_jobs coupling prog =
-  of_output
-    (Compiler.compile_sc ?schedule ?noise ?lint ?window ?sched_jobs ~coupling
-       prog)
-
-let ph_it ?schedule ?lint ?window ?sched_jobs prog =
-  of_output
-    (Compiler.compile (Config.ion_trap ?schedule ?lint ?window ?sched_jobs ())
-       prog)
 
 (* One baseline run: [synthesize] yields (circuit, rotations, layouts),
    with layouts exactly when it routed onto a device; then the generic

@@ -20,36 +20,12 @@ type run = {
           the synthesis/peephole stages and leave scheduling at zero *)
 }
 
-(** Paulihedral on the FT backend ([schedule] defaults to GCO; [lint]
-    to [Off], as in [Config.ft]). *)
-val ph_ft :
-  ?schedule:Config.schedule ->
-  ?lint:Ph_lint.Diag.level ->
-  ?window:int ->
-  ?sched_jobs:int ->
-  Program.t ->
-  run
-
-(** Paulihedral on an SC device ([schedule] defaults to DO). *)
-val ph_sc :
-  ?schedule:Config.schedule ->
-  ?noise:Noise_model.t ->
-  ?lint:Ph_lint.Diag.level ->
-  ?window:int ->
-  ?sched_jobs:int ->
-  Coupling.t ->
-  Program.t ->
-  run
-
-(** Paulihedral on the trapped-ion backend: FT-style scheduling and
-    cancellation, then lowering to native Mølmer–Sørensen gates. *)
-val ph_it :
-  ?schedule:Config.schedule ->
-  ?lint:Ph_lint.Diag.level ->
-  ?window:int ->
-  ?sched_jobs:int ->
-  Program.t ->
-  run
+(** Paulihedral under one configuration ([Compiler.compile]): the
+    [Config.t] names the compile — scheduler, backend, lint level,
+    window — so it is also the run's cache identity
+    ([Config.fingerprint]).  Build it with [Config.ft], [Config.sc] or
+    [Config.ion_trap]. *)
+val ph : Config.t -> Program.t -> run
 
 (** t|ket⟩-style commuting-set synthesis, FT.  [strategy] as in
     [Ph_baselines.Tk_like.compile]: [`Pairwise] (default, the tket the

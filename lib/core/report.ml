@@ -51,11 +51,6 @@ let geomean = function
   | xs ->
     exp (List.fold_left (fun acc x -> acc +. log x) 0. xs /. float_of_int (List.length xs))
 
-let pp_row fmt name cols =
-  Format.fprintf fmt "%-14s" name;
-  List.iter (fun c -> Format.fprintf fmt " %12s" c) cols;
-  Format.pp_print_newline fmt ()
-
 let pp_metrics fmt m =
   Format.fprintf fmt "cnot=%d single=%d total=%d depth=%d (%.2fs)" m.cnot m.single
     m.total m.depth m.seconds

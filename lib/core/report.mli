@@ -25,9 +25,6 @@ val delta : int -> int -> float
 (** Geometric mean of positive ratios. *)
 val geomean : float list -> float
 
-(** Row printer: name then aligned columns. *)
-val pp_row : Format.formatter -> string -> string list -> unit
-
 val pp_metrics : Format.formatter -> metrics -> unit
 
 (** {1 Per-pass telemetry}

@@ -20,9 +20,12 @@ let line_for prog = Ph_hardware.Devices.line (max 2 (Program.n_qubits prog))
 
 let ft_pipelines () =
   [
-    { name = "ph_ft"; compile = (fun p -> Pipelines.ph_ft p) };
-    { name = "ph_phx"; compile = (fun p -> Pipelines.ph_ft ~schedule:Config.Phoenix_like p) };
-    { name = "ph_it"; compile = (fun p -> Pipelines.ph_it p) };
+    { name = "ph_ft"; compile = Pipelines.ph (Config.ft ()) };
+    {
+      name = "ph_phx";
+      compile = Pipelines.ph (Config.ft ~schedule:Config.Phoenix_like ());
+    };
+    { name = "ph_it"; compile = Pipelines.ph (Config.ion_trap ()) };
     { name = "tk_ft"; compile = (fun p -> Pipelines.tk_ft p) };
     { name = "naive_ft"; compile = (fun p -> Pipelines.naive_ft p) };
   ]
@@ -30,10 +33,11 @@ let ft_pipelines () =
 let sc_pipelines ?coupling () =
   let dev p = match coupling with Some c -> c | None -> line_for p in
   [
-    { name = "ph_sc"; compile = (fun p -> Pipelines.ph_sc (dev p) p) };
+    { name = "ph_sc"; compile = (fun p -> Pipelines.ph (Config.sc (dev p)) p) };
     {
       name = "ph_phx_sc";
-      compile = (fun p -> Pipelines.ph_sc ~schedule:Config.Phoenix_like (dev p) p);
+      compile =
+        (fun p -> Pipelines.ph (Config.sc ~schedule:Config.Phoenix_like (dev p)) p);
     };
     { name = "tk_sc"; compile = (fun p -> Pipelines.tk_sc (dev p) p) };
     { name = "naive_sc"; compile = (fun p -> Pipelines.naive_sc (dev p) p) };
@@ -280,7 +284,7 @@ let metamorphic ~dense_limit rng prog =
   let commuting = fully_commuting prog in
   let small = Program.n_qubits prog <= dense_limit in
   let check_variant name variant =
-    match Pipelines.ph_ft variant with
+    match Pipelines.ph (Config.ft ()) variant with
     | exception e ->
       [
         {
@@ -302,7 +306,7 @@ let metamorphic ~dense_limit rng prog =
       @
       if not (commuting && small) then []
       else
-        let base = Pipelines.ph_ft prog in
+        let base = Pipelines.ph (Config.ft ()) prog in
         if
           Ph_linalg.Matrix.equal_up_to_phase
             (Circuit.unitary run.Pipelines.circuit)
@@ -370,7 +374,7 @@ let opt_preserves ~dense_limit prog =
         [ fail "post_ir" ("post-opt IR lint error: " ^ Ph_lint.Diag.to_string d) ]
     in
     let semantic =
-      match Pipelines.ph_ft ~schedule:Config.Phoenix_like prog with
+      match Pipelines.ph (Config.ft ~schedule:Config.Phoenix_like ()) prog with
       | exception e ->
         [ fail "compile" ("phoenix compile raised " ^ Printexc.to_string e) ]
       | run ->
@@ -380,7 +384,7 @@ let opt_preserves ~dense_limit prog =
         if not (fully_commuting prog && Program.n_qubits prog <= dense_limit) then
           []
         else
-          let base = Pipelines.ph_ft prog in
+          let base = Pipelines.ph (Config.ft ()) prog in
           if
             Ph_linalg.Matrix.equal_up_to_phase
               (Circuit.unitary run.Pipelines.circuit)

@@ -60,12 +60,3 @@ let heavy_hex ~rows ~row_length =
   Coupling.create !next_bridge !edges
 
 let line n = grid 1 n
-
-let all_to_all n =
-  let edges = ref [] in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      edges := (a, b) :: !edges
-    done
-  done;
-  Coupling.create n !edges

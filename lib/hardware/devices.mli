@@ -21,7 +21,3 @@ val grid : int -> int -> Coupling.t
     Max degree 3, like the real devices.
     @raise Invalid_argument when [row_length < 3] or [rows < 1]. *)
 val heavy_hex : rows:int -> row_length:int -> Coupling.t
-
-(** [all_to_all n] — complete graph; stands in for the FT backend where
-    mapping overhead is neglected after error correction. *)
-val all_to_all : int -> Coupling.t

@@ -5,7 +5,6 @@ let one = Complex.one
 let i = Complex.i
 
 let make re im = { re; im }
-let of_float re = { re; im = 0. }
 
 let add = Complex.add
 let sub = Complex.sub

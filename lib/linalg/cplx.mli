@@ -7,7 +7,6 @@ val one : t
 val i : t
 
 val make : float -> float -> t
-val of_float : float -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t

@@ -98,8 +98,6 @@ let kron a b =
 let dagger m =
   init m.cols m.rows (fun i j -> Cplx.conj (get m j i))
 
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
-
 let trace m =
   if m.rows <> m.cols then invalid_arg "Matrix.trace";
   let acc = ref Cplx.zero in

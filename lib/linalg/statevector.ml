@@ -93,8 +93,6 @@ let norm sv =
 
 let prob sv k = (sv.re.(k) *. sv.re.(k)) +. (sv.im.(k) *. sv.im.(k))
 
-let probs sv = Array.init (dim sv) (prob sv)
-
 let inner a b =
   if dim a <> dim b then invalid_arg "Statevector.inner";
   let re = ref 0. and im = ref 0. in

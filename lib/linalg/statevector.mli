@@ -38,9 +38,6 @@ val norm : t -> float
 (** [prob sv k] is |⟨k|sv⟩|². *)
 val prob : t -> int -> float
 
-(** Full probability distribution over basis states. *)
-val probs : t -> float array
-
 (** ⟨a|b⟩. *)
 val inner : t -> t -> Cplx.t
 

@@ -20,6 +20,3 @@ let second_order ~n_qubits ~terms ~time ~steps =
 
 let qaoa_layer ~n_qubits ~terms ~gamma =
   Program.make n_qubits [ Block.make terms (Block.symbolic "gamma" gamma) ]
-
-let grouped ~n_qubits groups =
-  Program.make n_qubits (List.map (fun (terms, param) -> Block.make terms param) groups)

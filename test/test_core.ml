@@ -131,14 +131,14 @@ let test_record_roundtrip () =
 (* --- Compiler --- *)
 
 let test_compile_ft () =
-  let out = Compiler.compile_ft sample_program in
+  let out = Compiler.compile (Config.ft ()) sample_program in
   check_int "all rotations" 4 (List.length out.Compiler.rotations);
   check "no layouts on FT" true (out.Compiler.initial_layout = None);
   check "verified" true
     (Ph_verify.Pauli_frame.verify_ft out.Compiler.circuit ~trace:out.Compiler.rotations)
 
 let test_compile_sc () =
-  let out = Compiler.compile_sc ~coupling:(Devices.line 5) sample_program in
+  let out = Compiler.compile (Config.sc (Devices.line 5)) sample_program in
   check "layout present" true (out.Compiler.initial_layout <> None);
   check "swaps decomposed" true
     (Array.for_all
@@ -151,9 +151,10 @@ let test_compile_sc () =
        ~final:(Option.get out.Compiler.final_layout))
 
 let test_compile_schedules_differ () =
-  let gco = Compiler.compile_ft ~schedule:Config.Gco sample_program in
-  let dord = Compiler.compile_ft ~schedule:Config.Depth_oriented sample_program in
-  let po = Compiler.compile_ft ~schedule:Config.Program_order sample_program in
+  let compile schedule = Compiler.compile (Config.ft ~schedule ()) sample_program in
+  let gco = compile Config.Gco in
+  let dord = compile Config.Depth_oriented in
+  let po = compile Config.Program_order in
   check "all verified" true
     (List.for_all
        (fun (o : Compiler.output) ->
@@ -192,7 +193,7 @@ let test_compile_trace () =
     off.Compiler.trace.Report.counters.Report.peephole_removed
 
 let test_compile_trace_sc () =
-  let out = Compiler.compile_sc ~coupling:(Devices.line 5) sample_program in
+  let out = Compiler.compile (Config.sc (Devices.line 5)) sample_program in
   let c = out.Compiler.trace.Report.counters in
   check "sc swap counter populated" true (c.Report.sc_swaps >= 0);
   check "layers formed" true (c.Report.sched_layers > 0)
@@ -201,7 +202,7 @@ let test_compile_trace_sc () =
 
 let all_ft_pipelines =
   [
-    "ph", Pipelines.ph_ft ?schedule:None ?lint:None ?window:None ?sched_jobs:None;
+    "ph", Pipelines.ph (Config.ft ());
     "tk-pairwise", Pipelines.tk_ft ?strategy:None;
     "tk-sets", Pipelines.tk_ft ~strategy:`Sets;
     "naive", Pipelines.naive_ft;
@@ -221,7 +222,7 @@ let test_pipelines_sc_verified () =
     (fun (name, run) ->
       check (name ^ " verified") true (Pipelines.verified run))
     [
-      "ph", Pipelines.ph_sc dev sample_program;
+      "ph", Pipelines.ph (Config.sc dev) sample_program;
       "tk", Pipelines.tk_sc dev sample_program;
       "naive", Pipelines.naive_sc dev sample_program;
     ]
@@ -241,7 +242,7 @@ let test_pipeline_qaoa () =
 
 let test_pipelines_on_manhattan_uccsd () =
   let prog = Ph_benchmarks.Uccsd.ansatz ~n_qubits:8 () in
-  let ph = Pipelines.ph_sc Devices.manhattan prog in
+  let ph = Pipelines.ph (Config.sc Devices.manhattan) prog in
   let naive = Pipelines.naive_sc Devices.manhattan prog in
   check "ph verified" true (Pipelines.verified ph);
   check "naive verified" true (Pipelines.verified naive);

@@ -52,7 +52,7 @@ let test_controlled_correct () =
              (Block.param b))
          (Program.blocks prog))
   in
-  let kernel = Compiler.compile_ft wide in
+  let kernel = Compiler.compile (Config.ft ()) wide in
   let ctrl = Ph_synthesis.Controlled.of_circuit kernel.Compiler.circuit ~control:3 in
   let u_kernel =
     Ph_verify.Unitary_check.rotations_unitary ~n_qubits:3
@@ -79,7 +79,7 @@ let test_controlled_validation () =
 
 let test_controlled_off_is_identity () =
   let prog = Program.make 3 [ Block.make [ term "IZY" 0.9 ] (Block.fixed 0.3) ] in
-  let kernel = Compiler.compile_ft prog in
+  let kernel = Compiler.compile (Config.ft ()) prog in
   let widened = Circuit.of_gates 4 (Circuit.to_list kernel.Compiler.circuit) in
   let ctrl = Ph_synthesis.Controlled.of_circuit widened ~control:3 in
   (* control |0⟩: any system input must come back unchanged *)
@@ -89,7 +89,7 @@ let test_controlled_off_is_identity () =
 
 let test_controlled_powers () =
   let prog = Program.make 2 [ Block.make [ term "ZI" 0.7 ] (Block.fixed 0.2) ] in
-  let kernel = Compiler.compile_ft prog in
+  let kernel = Compiler.compile (Config.ft ()) prog in
   let widened = Circuit.of_gates 3 (Circuit.to_list kernel.Compiler.circuit) in
   let twice = Ph_synthesis.Controlled.powers widened ~control:2 ~k:1 in
   let once = Ph_synthesis.Controlled.powers widened ~control:2 ~k:0 in
@@ -225,7 +225,7 @@ let test_ph_it_pipeline () =
         Block.make [ term "XYZ" 0.7 ] (Block.fixed 0.3);
       ]
   in
-  let run = Pipelines.ph_it prog in
+  let run = Pipelines.ph (Config.ion_trap ()) prog in
   check "no cnots or swaps in native circuit" true
     (Array.for_all
        (function Gate.Cnot _ | Gate.Swap _ -> false | _ -> true)
@@ -235,7 +235,7 @@ let test_ph_it_pipeline () =
     (Ph_verify.Unitary_check.circuit_implements run.Pipelines.circuit
        run.Pipelines.rotations);
   (* entangler count matches the FT backend's *)
-  let ft = Pipelines.ph_ft prog in
+  let ft = Pipelines.ph (Config.ft ()) prog in
   Alcotest.(check int) "same entangler count"
     ft.Pipelines.metrics.Report.cnot run.Pipelines.metrics.Report.cnot
 
@@ -259,7 +259,7 @@ let prop_ph_it_correct =
              (fun (s, w) -> Block.make [ Pauli_term.make s (w +. 0.1) ] (Block.fixed 0.4))
              strs)
       in
-      let run = Pipelines.ph_it prog in
+      let run = Pipelines.ph (Config.ion_trap ()) prog in
       Pipelines.verified run
       && Ph_verify.Unitary_check.circuit_implements run.Pipelines.circuit
            run.Pipelines.rotations)
@@ -275,7 +275,7 @@ let test_compile_max_overlap () =
         Block.make [ term "ZZX" 0.2 ] (Block.fixed 0.3);
       ]
   in
-  let out = Compiler.compile_ft ~schedule:Config.Max_overlap prog in
+  let out = Compiler.compile (Config.ft ~schedule:Config.Max_overlap ()) prog in
   check "verified" true
     (Ph_verify.Pauli_frame.verify_ft out.Compiler.circuit ~trace:out.Compiler.rotations)
 

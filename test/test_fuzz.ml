@@ -103,7 +103,7 @@ let buggy_ft =
     Properties.name = "buggy_ft";
     compile =
       (fun prog ->
-        let run = Pipelines.ph_ft prog in
+        let run = Pipelines.ph (Config.ft ()) prog in
         match flip_first_cnot run.Pipelines.circuit with
         | Some circuit -> { run with Pipelines.circuit }
         | None -> run);

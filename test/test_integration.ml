@@ -27,7 +27,7 @@ let test_sc_pipelines_verified () =
         (fun (pname, run) ->
           check (name ^ "/" ^ pname) true (Pipelines.verified run))
         [
-          "ph", Pipelines.ph_sc manhattan prog;
+          "ph", Pipelines.ph (Config.sc manhattan) prog;
           "tk", Pipelines.tk_sc manhattan prog;
           "naive", Pipelines.naive_sc manhattan prog;
         ])
@@ -41,9 +41,9 @@ let test_ft_pipelines_verified () =
         (fun (pname, run) ->
           check (name ^ "/" ^ pname) true (Pipelines.verified run))
         [
-          "ph-gco", Pipelines.ph_ft ~schedule:Config.Gco prog;
-          "ph-do", Pipelines.ph_ft ~schedule:Config.Depth_oriented prog;
-          "ph-it", Pipelines.ph_it prog;
+          "ph-gco", Pipelines.ph (Config.ft ~schedule:Config.Gco ()) prog;
+          "ph-do", Pipelines.ph (Config.ft ~schedule:Config.Depth_oriented ()) prog;
+          "ph-it", Pipelines.ph (Config.ion_trap ()) prog;
           "tk", Pipelines.tk_ft prog;
           "naive", Pipelines.naive_ft prog;
         ])
@@ -53,7 +53,7 @@ let test_sc_circuits_respect_manhattan () =
   List.iter
     (fun name ->
       let prog = (Suite.find name).Suite.generate () in
-      let run = Pipelines.ph_sc manhattan prog in
+      let run = Pipelines.ph (Config.sc manhattan) prog in
       check (name ^ " coupling") true
         (Array.for_all
            (fun g ->
@@ -96,7 +96,7 @@ let test_table1_pins () =
 
 let test_ph_sc_beats_tk_on_uccsd () =
   let prog = (Suite.find "UCCSD-8").Suite.generate () in
-  let ph = Pipelines.ph_sc manhattan prog in
+  let ph = Pipelines.ph (Config.sc manhattan) prog in
   let tk = Pipelines.tk_sc manhattan prog in
   check
     (Printf.sprintf "ph %d < tk %d cnots" ph.Pipelines.metrics.Report.cnot
@@ -107,7 +107,7 @@ let test_ph_sc_beats_tk_on_uccsd () =
 let test_reg20_4_near_paper () =
   (* Paper: 366 CNOT.  Pin a generous window so regressions surface. *)
   let prog = (Suite.find "REG-20-4").Suite.generate () in
-  let ph = Pipelines.ph_sc manhattan prog in
+  let ph = Pipelines.ph (Config.sc manhattan) prog in
   let c = ph.Pipelines.metrics.Report.cnot in
   check (Printf.sprintf "REG-20-4 cnot %d within [300, 450]" c) true
     (c >= 300 && c <= 450)
@@ -115,22 +115,22 @@ let test_reg20_4_near_paper () =
 let test_ising_do_depth () =
   (* Paper: depth 6 for Ising-1D under PH(DO) — exact match we keep. *)
   let prog = (Suite.find "Ising-1D").Suite.generate () in
-  let run = Pipelines.ph_ft ~schedule:Config.Depth_oriented prog in
+  let run = Pipelines.ph (Config.ft ~schedule:Config.Depth_oriented ()) prog in
   check_int "Ising-1D depth" 6 run.Pipelines.metrics.Report.depth;
   check_int "Ising-1D cnot" 58 run.Pipelines.metrics.Report.cnot
 
 let test_bc_zero_on_two_local () =
   (* Paper: block-wise compilation gains exactly 0% on Ising. *)
   let prog = (Suite.find "Ising-2D").Suite.generate () in
-  let ph = Pipelines.ph_ft ~schedule:Config.Gco prog in
+  let ph = Pipelines.ph (Config.ft ~schedule:Config.Gco ()) prog in
   let naive = Pipelines.naive_ft (Ph_schedule.Gco.run prog) in
   check_int "same cnots" naive.Pipelines.metrics.Report.cnot
     ph.Pipelines.metrics.Report.cnot
 
 let test_do_padding_parallelizes_heisenberg () =
   let prog = (Suite.find "Heisen-1D").Suite.generate () in
-  let dor = Pipelines.ph_ft ~schedule:Config.Depth_oriented prog in
-  let gco = Pipelines.ph_ft ~schedule:Config.Gco prog in
+  let dor = Pipelines.ph (Config.ft ~schedule:Config.Depth_oriented ()) prog in
+  let gco = Pipelines.ph (Config.ft ~schedule:Config.Gco ()) prog in
   check
     (Printf.sprintf "DO depth %d << GCO depth %d" dor.Pipelines.metrics.Report.depth
        gco.Pipelines.metrics.Report.depth)
@@ -141,7 +141,7 @@ let test_do_padding_parallelizes_heisenberg () =
 
 let test_qasm_roundtrip_compiled () =
   let prog = (Suite.find "Rand-20-0.1").Suite.generate () in
-  let run = Pipelines.ph_sc manhattan prog in
+  let run = Pipelines.ph (Config.sc manhattan) prog in
   let reparsed = Qasm.parse (Qasm.export run.Pipelines.circuit) in
   check_int "same gate count" (Circuit.length run.Pipelines.circuit)
     (Circuit.length reparsed);
@@ -158,7 +158,8 @@ let test_ir_text_roundtrip_uccsd () =
   let reparsed = Parser.parse ~default:1.0 text in
   check "same multiset" true (Program.same_multiset prog reparsed);
   (* and it still compiles and verifies *)
-  check "compiles verified" true (Pipelines.verified (Pipelines.ph_ft reparsed))
+  check "compiles verified" true
+    (Pipelines.verified (Pipelines.ph (Config.ft ()) reparsed))
 
 (* --- end-to-end noisy QAOA sanity (mini Figure 11) --- *)
 
@@ -175,7 +176,7 @@ let test_fig11_instance () =
       final_layout = Option.get r.Pipelines.final_layout;
     }
   in
-  let ph = Pipelines.ph_sc device prog in
+  let ph = Pipelines.ph (Config.sc device) prog in
   let outcome =
     Ph_sim.Qaoa_run.evaluate ~noise ~trajectories:150 ~seed:3 g (kernel_of ph) ~beta
   in
@@ -187,7 +188,7 @@ let test_fig11_instance () =
 
 let test_large_benchmark_fast () =
   let prog = (Suite.find "Rand-40").Suite.generate () in
-  let run, seconds = Report.timed (fun () -> Pipelines.ph_ft prog) in
+  let run, seconds = Report.timed (fun () -> Pipelines.ph (Config.ft ()) prog) in
   check "verified" true (Pipelines.verified run);
   check (Printf.sprintf "compiled in %.1fs < 30s" seconds) true (seconds < 30.)
 

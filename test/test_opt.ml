@@ -88,8 +88,8 @@ let test_deterministic () =
   check "equal stats" true (a.Pass.stats = b.Pass.stats)
 
 let dense_equivalent p =
-  let phx = Pipelines.ph_ft ~schedule:Config.Phoenix_like p in
-  let base = Pipelines.ph_ft p in
+  let phx = Pipelines.ph (Config.ft ~schedule:Config.Phoenix_like ()) p in
+  let base = Pipelines.ph (Config.ft ()) p in
   check "phoenix run verified" true (Pipelines.verified phx);
   Ph_linalg.Matrix.equal_up_to_phase
     (Ph_gatelevel.Circuit.unitary phx.Pipelines.circuit)

@@ -133,6 +133,40 @@ let test_cache_key () =
   check "no concatenation ambiguity" true
     (Cache.key ~config_fp:"ab" ~text:"c" <> Cache.key ~config_fp:"a" ~text:"bc")
 
+(* The exact cache-key strings of the configurations the bench tables
+   and phc default to.  A change in how a compile is named must show up
+   here, not only as cold caches. *)
+let test_config_fingerprints_pinned () =
+  List.iter
+    (fun (name, config, expected) ->
+      check_str name expected (Config.fingerprint config))
+    [
+      ( "ft default",
+        Config.ft (),
+        "v=paulihedral/13;schedule=gco;backend=ft;peephole=true;lint=off;window=512;analyze=false;gap=8" );
+      ( "table-2 ft DO",
+        Config.ft ~schedule:Config.Depth_oriented (),
+        "v=paulihedral/13;schedule=do;backend=ft;peephole=true;lint=off;window=512;analyze=false;gap=8" );
+      ( "table-2 ft phoenix",
+        Config.ft ~schedule:Config.Phoenix_like (),
+        "v=paulihedral/13;schedule=phoenix;backend=ft;peephole=true;lint=off;window=512;analyze=false;gap=8" );
+      ( "sc manhattan",
+        Config.sc Ph_hardware.Devices.manhattan,
+        "v=paulihedral/13;schedule=do;backend=sc{n=65;edges="
+        ^ "0-1,0-10,1-2,2-3,3-4,4-5,4-11,5-6,6-7,7-8,8-9,8-12,"
+        ^ "10-13,11-17,12-21,13-14,14-15,15-16,15-24,16-17,17-18,"
+        ^ "18-19,19-20,19-25,20-21,21-22,22-23,23-26,24-29,25-33,"
+        ^ "26-37,27-28,27-38,28-29,29-30,30-31,31-32,31-39,32-33,"
+        ^ "33-34,34-35,35-36,35-40,36-37,38-41,39-45,40-49,41-42,"
+        ^ "42-43,43-44,43-52,44-45,45-46,46-47,47-48,47-53,48-49,"
+        ^ "49-50,50-51,51-54,52-56,53-60,54-64,55-56,56-57,57-58,"
+        ^ "58-59,59-60,60-61,61-62,62-63,63-64"
+        ^ ";noise=none};peephole=true;lint=off;window=512;analyze=false;gap=8" );
+      ( "ion trap",
+        Config.ion_trap (),
+        "v=paulihedral/13;schedule=gco;backend=it;peephole=false;lint=off;window=512;analyze=false;gap=8" );
+    ]
+
 let test_cache_memory_tier () =
   let c = Cache.create () in
   let k = Cache.key ~config_fp:"fp" ~text:"prog" in
@@ -475,6 +509,8 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "key derivation" `Quick test_cache_key;
+          Alcotest.test_case "config fingerprints pinned" `Quick
+            test_config_fingerprints_pinned;
           Alcotest.test_case "memory tier" `Quick test_cache_memory_tier;
           Alcotest.test_case "FIFO eviction" `Quick test_cache_eviction;
           Alcotest.test_case "disk tier reload" `Quick test_cache_disk_tier;

@@ -125,7 +125,7 @@ let test_evaluate_on_device () =
   let gamma, beta = Qaoa_run.optimize_parameters ~grid:8 g in
   let prog = Qaoa.maxcut g ~gamma in
   let out =
-    Paulihedral.Compiler.compile_sc ~coupling:Devices.melbourne prog
+    Paulihedral.Compiler.compile (Paulihedral.Config.sc Devices.melbourne) prog
   in
   let kernel =
     {

@@ -8,16 +8,17 @@
 #   - phc batch (stdout and --json report): examples/*.pauli x
 #     {default, phoenix} x --jobs {1, 2, 4}
 #   - bench history record (perf counter rows): the ft suite at
-#     --jobs 1 / --jobs 4 / --sched-jobs 8, and the scale suite at
-#     --sched-jobs 1 / 8.  Rand-256 of the scale suite dispatches
-#     parallel scans, so that pair also proves a dispatch leaves the
-#     recorded allocation words unchanged.
+#     --jobs 1 / --jobs 4 / --sched-jobs 8, the sc suite (Manhattan-65
+#     routing) at --jobs 1 / 2, and the scale suite at --sched-jobs
+#     1 / 8.  Rand-256 of the scale suite dispatches parallel scans, so
+#     that pair also proves a dispatch leaves the recorded allocation
+#     words unchanged.
 #
 # Usage: tools/determinism_matrix.sh [OUT_DIR]   (default: determinism-out)
 #
 # Outputs land in OUT_DIR; OUT_DIR/perf_j1.csv is the ft-suite recording
 # a regression gate can use (`bench history gate --candidate`).  Exit 1
-# on the first pair that differs.  Takes about 90 s on two cores.
+# on the first pair that differs.  Takes about 100 s on two cores.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -66,6 +67,9 @@ record perf_j4.csv --suite ft --jobs 4
 record perf_sj8.csv --suite ft --sched-jobs 8
 cmp "$out/perf_j1.csv" "$out/perf_j4.csv"
 cmp "$out/perf_j1.csv" "$out/perf_sj8.csv"
+record perf_sc_j1.csv --suite sc --jobs 1
+record perf_sc_j2.csv --suite sc --jobs 2
+cmp "$out/perf_sc_j1.csv" "$out/perf_sc_j2.csv"
 record perf_scale_sj1.csv --suite scale --sched-jobs 1
 record perf_scale_sj8.csv --suite scale --sched-jobs 8
 cmp "$out/perf_scale_sj1.csv" "$out/perf_scale_sj8.csv"
