@@ -1038,6 +1038,13 @@ let () =
     | _ -> usage ())
   | None -> ());
   let cache_dir, args = extract_opt "--cache" [] args in
+  (* [history record] compiles afresh under the tables' plain labels: a
+     lint flag would store lint-enabled counters under the plain (bench,
+     config) keys, and no history command writes a report or reads a
+     cache. *)
+  (match args with
+  | "history" :: _ when lint_flag || json_path <> None || cache_dir <> None -> usage ()
+  | _ -> ());
   (match cache_dir with
   | Some dir -> bench_cache := Some (Ph_pool.Cache.create ~dir ())
   | None -> ());

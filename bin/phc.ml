@@ -222,6 +222,12 @@ let normalize_arg =
                function of (source, options) — the bytes the serve daemon \
                answers with, so the two are directly diffable.")
 
+let lint_normalize_arg =
+  Arg.(value & flag & info [ "normalize" ]
+         ~doc:"With $(b,--json): print $(b,lint_s) as 0, making the output a \
+               pure function of (source, options), so two runs can be \
+               compared byte for byte.")
+
 let output_arg =
   Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE"
          ~doc:"Write the compiled circuit as OpenQASM 2.0.")
@@ -390,7 +396,7 @@ let batch_cmd =
 
 (* ---------- phc lint: verify-each over the whole pipeline ---------- *)
 
-let run_lint file backend device schedule params json =
+let run_lint file backend device schedule params json normalize =
   with_compile file ~params
     (config_for ~backend ~device ~schedule ~lint:Lint.Diag.Error_level
        ~window:Config.default_window)
@@ -409,7 +415,8 @@ let run_lint file backend device schedule params json =
                 "errors", Json.Int (List.length errors);
                 ( "warnings",
                   Json.Int (List.length (Lint.Diag.warnings diags)) );
-                "lint_s", Json.Float out.Compiler.trace.Report.lint_s;
+                ( "lint_s",
+                  Json.Float (if normalize then 0. else out.Compiler.trace.Report.lint_s) );
                 "diagnostics", Json.List (List.map Lint.Diag.to_json diags);
               ]))
     else begin
@@ -434,7 +441,7 @@ let lint_cmd =
     (Cmd.info "lint" ~doc)
     Term.(
       const run_lint $ file_arg $ backend_arg $ device_arg $ schedule_arg
-      $ params_arg $ json_arg)
+      $ params_arg $ json_arg $ lint_normalize_arg)
 
 (* ---------- phc analyze: static bounds, gaps, certificates ---------- *)
 

@@ -10,7 +10,6 @@ module Builder = struct
   let n_qubits b = b.n
 
   let add b g =
-    Ph_perf.Counter.bump Ph_perf.Counter.circuit_gates_built;
     if b.len = Array.length b.buf then begin
       let buf = Array.make (2 * b.len) (Gate.H 0) in
       Array.blit b.buf 0 buf 0 b.len;
@@ -23,7 +22,11 @@ module Builder = struct
 
   let length b = b.len
 
-  let to_circuit b = { n_qubits = b.n; gates = Array.sub b.buf 0 b.len }
+  (* [circuit_gates_built] is charged here, once per builder, rather
+     than per [add]: each charge is a domain-local lookup. *)
+  let to_circuit b =
+    Ph_perf.Counter.add Ph_perf.Counter.circuit_gates_built b.len;
+    { n_qubits = b.n; gates = Array.sub b.buf 0 b.len }
 
   let append b c = Array.iter (add b) c.gates
 end
@@ -76,16 +79,26 @@ let depth c =
     c.gates;
   Array.fold_left max 0 frontier
 
+(* One exact-size output array: every SWAP becomes three CNOTs, every
+   other gate is copied as is. *)
 let decompose_swaps c =
-  let b = Builder.create c.n_qubits in
+  let m = Array.length c.gates + (2 * swap_count c) in
+  Ph_perf.Counter.add Ph_perf.Counter.circuit_gates_built m;
+  let out = Array.make m (Gate.H 0) in
+  let j = ref 0 in
   Array.iter
     (fun g ->
       match g with
       | Gate.Swap (x, y) ->
-        Builder.add_list b [ Gate.Cnot (x, y); Gate.Cnot (y, x); Gate.Cnot (x, y) ]
-      | g -> Builder.add b g)
+        out.(!j) <- Gate.Cnot (x, y);
+        out.(!j + 1) <- Gate.Cnot (y, x);
+        out.(!j + 2) <- Gate.Cnot (x, y);
+        j := !j + 3
+      | g ->
+        out.(!j) <- g;
+        incr j)
     c.gates;
-  Builder.to_circuit b
+  { c with gates = out }
 
 let remap f c = { c with gates = Array.map (Gate.remap f) c.gates }
 

@@ -4,7 +4,9 @@
 
 type t
 
-(** Incremental construction (all backends emit through a builder). *)
+(** Incremental construction (all backends emit through a builder).
+    [to_circuit] charges the builder's length to the
+    [circuit_gates_built] counter, once; [add] touches no counter. *)
 module Builder : sig
   type circuit := t
   type t
@@ -47,7 +49,8 @@ val depth : t -> int
 
 (** {1 Transformations} *)
 
-(** Replace every [Swap] by its three-CNOT decomposition. *)
+(** Replace every [Swap] by its three-CNOT decomposition; charges the
+    output length to [circuit_gates_built]. *)
 val decompose_swaps : t -> t
 
 (** [remap f c] renames qubits; [f] must be injective on [0..n-1]. *)

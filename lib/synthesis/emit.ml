@@ -10,18 +10,19 @@ type result = {
 let angle (param : Block.param) w = 2. *. w *. param.value
 
 let half_pi = Float.pi /. 2.
+let minus_half_pi = -.half_pi
 
-let basis_in op q =
+let add_basis_in b op q =
   match op with
-  | Pauli.X -> [ Gate.H q ]
-  | Pauli.Y -> [ Gate.Rx (half_pi, q) ]
-  | Pauli.Z | Pauli.I -> []
+  | Pauli.X -> Circuit.Builder.add b (Gate.H q)
+  | Pauli.Y -> Circuit.Builder.add b (Gate.Rx (half_pi, q))
+  | Pauli.Z | Pauli.I -> ()
 
-let basis_out op q =
+let add_basis_out b op q =
   match op with
-  | Pauli.X -> [ Gate.H q ]
-  | Pauli.Y -> [ Gate.Rx (-.half_pi, q) ]
-  | Pauli.Z | Pauli.I -> []
+  | Pauli.X -> Circuit.Builder.add b (Gate.H q)
+  | Pauli.Y -> Circuit.Builder.add b (Gate.Rx (minus_half_pi, q))
+  | Pauli.Z | Pauli.I -> ()
 
 let emit_chain b p ~order ~theta =
   let support = Pauli_string.support p in
@@ -30,7 +31,7 @@ let emit_chain b p ~order ~theta =
   match order with
   | [] -> ()
   | first :: _ ->
-    List.iter (fun q -> Circuit.Builder.add_list b (basis_in (Pauli_string.get p q) q)) order;
+    List.iter (fun q -> add_basis_in b (Pauli_string.get p q) q) order;
     let rec cnots prev = function
       | [] -> prev
       | q :: rest ->
@@ -46,4 +47,4 @@ let emit_chain b p ~order ~theta =
       | [ _ ] | [] -> ()
     in
     rev_cnots order;
-    List.iter (fun q -> Circuit.Builder.add_list b (basis_out (Pauli_string.get p q) q)) order
+    List.iter (fun q -> add_basis_out b (Pauli_string.get p q) q) order

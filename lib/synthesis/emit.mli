@@ -22,12 +22,13 @@ type result = {
 (** [angle param w] = [2·w·param.value]. *)
 val angle : Block.param -> float -> float
 
-(** Basis-change gate entering the Z-frame of [op] on qubit [q]
-    ([X → H], [Y → Rx(π/2)], [Z]/[I] → none). *)
-val basis_in : Pauli.t -> int -> Gate.t list
+(** [add_basis_in b op q] adds the basis-change gate entering the
+    Z-frame of [op] on qubit [q] ([X → H], [Y → Rx(π/2)], [Z]/[I] →
+    none). *)
+val add_basis_in : Circuit.Builder.t -> Pauli.t -> int -> unit
 
-(** Mirror of {!basis_in}. *)
-val basis_out : Pauli.t -> int -> Gate.t list
+(** Mirror of {!add_basis_in} ([Y → Rx(-π/2)]). *)
+val add_basis_out : Circuit.Builder.t -> Pauli.t -> int -> unit
 
 (** [emit_chain b p ~order ~theta] lowers one term along the qubit
     [order] (which must be exactly the support of [p], root last).

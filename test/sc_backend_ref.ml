@@ -1,8 +1,9 @@
 (* Reference implementation for the synthesis tests: the SC backend as
    it was before routing moved to one shortest-path tree per moving qubit
    and block synthesis to flat arrays, kept verbatim (its per-pair
-   Dijkstra comes from [Coupling_ref]) as the oracle the rewritten
-   [Sc_backend.synthesize] must match gate for gate. *)
+   Dijkstra and its subset routines come from [Coupling_ref]) as the
+   oracle the rewritten [Sc_backend.synthesize] must match gate for
+   gate. *)
 
 open Ph_pauli
 open Ph_pauli_ir
@@ -49,7 +50,7 @@ let connect_actives coupling noise layout ~root_log ~active_log ~avoid =
       let iter = ref 0 in
       let positions () = List.map (Layout.phys trial) active_log in
       let root_component () =
-        Coupling.component_of coupling (positions ()) (Layout.phys trial root_log)
+        Coupling_ref.component_of coupling (positions ()) (Layout.phys trial root_log)
       in
       let rec go () =
         let comp = root_component () in
@@ -178,7 +179,7 @@ let emit_string_on_tree builder layout parents root ~swap_count ~phys_ops ~theta
       holders
   in
   List.iter
-    (fun (p, op) -> Circuit.Builder.add_list builder (Emit.basis_in op p))
+    (fun (p, op) -> Emit.add_basis_in builder op p)
     final;
   let cone =
     List.filter (fun (p, _) -> p <> root) final
@@ -190,7 +191,7 @@ let emit_string_on_tree builder layout parents root ~swap_count ~phys_ops ~theta
   Circuit.Builder.add builder (Gate.Rz (theta, root));
   Circuit.Builder.add_list builder (List.rev cone);
   List.iter
-    (fun (p, op) -> Circuit.Builder.add_list builder (Emit.basis_out op p))
+    (fun (p, op) -> Emit.add_basis_out builder op p)
     final
 
 (* Physical operator table of a logical string under [layout]. *)
@@ -212,7 +213,7 @@ let select_root coupling layout policy candidates =
     | `First_core -> first
     | `Largest_component ->
       let positions = List.map (Layout.phys layout) candidates in
-      let comps = Coupling.subset_components coupling positions in
+      let comps = Coupling_ref.subset_components coupling positions in
       let largest =
         List.fold_left
           (fun acc c -> if List.length c > List.length acc then c else acc)
@@ -320,7 +321,7 @@ let synthesize_block coupling noise layout builder rotations policy ~swap_count 
             None holders
           |> Option.get |> snd
         in
-        let parents = Coupling.bfs_tree coupling ~root:root_phys ~nodes in
+        let parents = Coupling_ref.bfs_tree coupling ~root:root_phys ~nodes in
         emit_string_on_tree builder layout parents root_phys ~swap_count
           ~phys_ops:(phys_ops_of layout t.str) ~theta;
         rotations := (t.str, theta) :: !rotations
@@ -341,7 +342,7 @@ let synthesize_block coupling noise layout builder rotations policy ~swap_count 
           |> Option.get |> snd
         in
         let holders = holders_of t in
-        match Coupling.subset_components coupling holders with
+        match Coupling_ref.subset_components coupling holders with
         | [ _ ] -> emit_connected t holders ~nodes:holders
         | _ when !hops <= 0 ->
           (* Fallback: synthesize over the whole active region; the

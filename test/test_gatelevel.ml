@@ -297,6 +297,46 @@ let same_gates a b =
 let gates_built () =
   List.assoc "circuit_gates_built" (Ph_perf.Counter.totals_assoc ())
 
+(* The builder-based SWAP decomposition [decompose_swaps] replaced. *)
+let decompose_swaps_ref c =
+  let b = Circuit.Builder.create (Circuit.n_qubits c) in
+  Array.iter
+    (fun g ->
+      match g with
+      | Gate.Swap (x, y) ->
+        Circuit.Builder.add_list b [ Gate.Cnot (x, y); Gate.Cnot (y, x); Gate.Cnot (x, y) ]
+      | g -> Circuit.Builder.add b g)
+    (Circuit.gates c);
+  Circuit.Builder.to_circuit b
+
+(* Gates and [circuit_gates_built] delta of the exact-size decomposition
+   equal the builder-based form's, on random circuits with and without
+   SWAPs (and empty ones). *)
+let test_decompose_swaps_matches_builder () =
+  let st = Random.State.make [| 26 |] in
+  for _ = 1 to 2_000 do
+    let c = random_circuit st in
+    let b0 = gates_built () in
+    let d = Circuit.decompose_swaps c in
+    let b1 = gates_built () in
+    let d' = decompose_swaps_ref c in
+    let b2 = gates_built () in
+    check "same gates" true (same_gates d d');
+    check_int "same qubit count" (Circuit.n_qubits d') (Circuit.n_qubits d);
+    check_int "same gates built" (b2 - b1) (b1 - b0)
+  done
+
+(* The builder charges its length once, when it becomes a circuit. *)
+let test_builder_counts_at_to_circuit () =
+  let b = Circuit.Builder.create 2 in
+  let b0 = gates_built () in
+  for _ = 1 to 70 do
+    Circuit.Builder.add b (Gate.H 0)
+  done;
+  check_int "add charges nothing" b0 (gates_built ());
+  ignore (Circuit.Builder.to_circuit b);
+  check_int "to_circuit charges the length" (b0 + 70) (gates_built ())
+
 (* [optimize_stats] against the reference fixpoint: gates, [removed],
    [rounds] and the [circuit_gates_built] delta. *)
 let check_fixpoint ?window ?max_rounds what c =
@@ -674,6 +714,10 @@ let () =
           Alcotest.test_case "depth" `Quick test_depth;
           Alcotest.test_case "swap count" `Quick test_swap_count;
           Alcotest.test_case "swap decomposition" `Quick test_decompose_swaps;
+          Alcotest.test_case "swap decomposition matches builder form" `Quick
+            test_decompose_swaps_matches_builder;
+          Alcotest.test_case "builder counts at to_circuit" `Quick
+            test_builder_counts_at_to_circuit;
           Alcotest.test_case "dagger" `Quick test_dagger_circuit;
           Alcotest.test_case "remap" `Quick test_remap;
           Alcotest.test_case "builder growth" `Quick test_builder;

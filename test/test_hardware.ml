@@ -60,31 +60,36 @@ let test_weighted_path () =
    target of the set, the path read off [prev] and [dist] are exactly the
    oracle's path and the left-to-right float sum of its arc costs; an
    unreachable target has [dist = infinity] where the oracle raises
-   [Not_found].  [shortest_path_weighted] must agree too. *)
-let check_tree_against_ref name g ~cost ~target_sets =
+   [Not_found].  [shortest_path_weighted] must agree too.  One scratch
+   serves every search. *)
+let check_tree_against_ref ?sc name g ~cost ~target_sets =
   let n = Coupling.n_qubits g in
+  let sc = match sc with Some sc -> sc | None -> Coupling.scratch g in
+  let arc_cost = Coupling.arc_costs g cost in
   for src = 0 to n - 1 do
     List.iter
       (fun targets ->
-        let dist, prev = Coupling.shortest_path_tree g ~cost ~targets src in
+        let t = Array.of_list targets in
+        Coupling.shortest_path_tree g sc ~cost:arc_cost ~targets:t ~n_targets:(Array.length t) src;
+        let dist = Coupling.dist sc and prev = Coupling.prev sc in
         List.iter
           (fun dst ->
             let where = Printf.sprintf "%s %d->%d" name src dst in
             match Coupling_ref.shortest_path_weighted g ~cost src dst with
             | exception Not_found ->
-              check (where ^ " unreachable") true (dist.(dst) = infinity);
+              check (where ^ " unreachable") true (dist dst = infinity);
               check (where ^ " wrapper raises") true
                 (match Coupling.shortest_path_weighted g ~cost src dst with
                 | _ -> false
                 | exception Not_found -> true)
             | path ->
-              let rec back v acc = if v = src then src :: acc else back prev.(v) (v :: acc) in
+              let rec back v acc = if v = src then src :: acc else back (prev v) (v :: acc) in
               Alcotest.(check (list int)) (where ^ " path") path (back dst []);
               let rec sum acc = function
                 | u :: (v :: _ as rest) -> sum (acc +. cost u v) rest
                 | _ -> acc
               in
-              check (where ^ " dist is the path's float sum") true (dist.(dst) = sum 0. path);
+              check (where ^ " dist is the path's float sum") true (dist dst = sum 0. path);
               Alcotest.(check (list int)) (where ^ " wrapper") path
                 (Coupling.shortest_path_weighted g ~cost src dst))
           targets)
@@ -120,24 +125,122 @@ let test_shortest_path_tree () =
   (* Disconnected: {0,1,2} and {3,4}. *)
   let g = Coupling.create 5 [ 0, 1; 1, 2; 3, 4 ] in
   check_tree_against_ref "disconnected" g ~cost:(fun _ _ -> 1.) ~target_sets:(fun _ -> [ all g ]);
-  let dist, _ = Coupling.shortest_path_tree g ~cost:(fun _ _ -> 1.) ~targets:[ 4 ] 0 in
-  check "unreachable target at infinity" true (dist.(4) = infinity);
+  let sc = Coupling.scratch g in
+  Coupling.shortest_path_tree g sc ~cost:(Coupling.arc_costs g (fun _ _ -> 1.)) ~targets:[| 4 |]
+    ~n_targets:1 0;
+  check "unreachable target at infinity" true (Coupling.dist sc 4 = infinity);
   Alcotest.check_raises "unreachable path" Not_found (fun () ->
       ignore (Coupling.shortest_path_weighted g ~cost:(fun _ _ -> 1.) 0 4))
 
+(* The scratch routines against the list-based oracles in [Coupling_ref],
+   on random node subsets, with one scratch per graph serving every call
+   in a random interleaving: a stale stamp, an unreset parent or a
+   leftover Dijkstra entry shows up as a mismatch. *)
+let test_scratch_matches_ref () =
+  let st = Random.State.make [| 26 |] in
+  let graphs =
+    [
+      "manhattan", Devices.manhattan;
+      "grid-5x5", Devices.grid 5 5;
+      "heavy-hex-3x9", Devices.heavy_hex ~rows:3 ~row_length:9;
+      "disconnected", Coupling.create 9 [ 0, 1; 1, 2; 2, 0; 3, 4; 5, 6; 6, 7 ];
+    ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let n = Coupling.n_qubits g in
+      let sc = Coupling.scratch g in
+      let subset () =
+        (* distinct nodes in random order, from tiny to the whole graph *)
+        let perm = Array.init n Fun.id in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let t = perm.(i) in
+          perm.(i) <- perm.(j);
+          perm.(j) <- t
+        done;
+        let len = 1 + Random.State.int st (min n (if Random.State.bool st then 6 else n)) in
+        Array.sub perm 0 len
+      in
+      for call = 1 to 600 do
+        let where = Printf.sprintf "%s call %d" name call in
+        let nodes = subset () in
+        let len = Array.length nodes in
+        let ref_comps = Coupling_ref.subset_components g (Array.to_list nodes) in
+        match Random.State.int st 4 with
+        | 0 ->
+          check (where ^ " connected") (List.length ref_comps = 1)
+            (Coupling.connected g sc nodes len)
+        | 1 ->
+          check_int (where ^ " component count") (List.length ref_comps)
+            (Coupling.components g sc nodes len);
+          List.iteri
+            (fun c comp ->
+              check_int (where ^ " component size") (List.length comp)
+                (Coupling.component_size sc c);
+              List.iter (fun v -> check_int (where ^ " label") c (Coupling.component sc v)) comp)
+            ref_comps
+        | 2 ->
+          let root = nodes.(Random.State.int st len) in
+          Coupling.bfs_tree g sc ~root nodes len;
+          let parents = Coupling_ref.bfs_tree g ~root ~nodes:(Array.to_list nodes) in
+          let rec depth v = if v = root then 0 else 1 + depth parents.(v) in
+          for v = 0 to n - 1 do
+            check_int (where ^ " parent") parents.(v) (Coupling.parent sc v);
+            check_int (where ^ " depth")
+              (if parents.(v) < 0 then -1 else depth v)
+              (Coupling.depth sc v)
+          done
+        | _ ->
+          let src = Random.State.int st n in
+          (* small integer weights tie often, which the (dist, node) order
+             must break as the oracle does *)
+          let ties = Random.State.bool st in
+          let weights =
+            Array.init (n * n) (fun _ ->
+                if ties then float (1 + Random.State.int st 2)
+                else 0.5 +. Random.State.float st 2.)
+          in
+          let cost u v = weights.((min u v * n) + max u v) in
+          Coupling.shortest_path_tree g sc ~cost:(Coupling.arc_costs g cost) ~targets:nodes
+            ~n_targets:len src;
+          check_int (where ^ " no prev of src") (-1) (Coupling.prev sc src);
+          Array.iter
+            (fun dst ->
+              match Coupling_ref.shortest_path_weighted g ~cost src dst with
+              | exception Not_found ->
+                check (where ^ " unreachable") true (Coupling.dist sc dst = infinity)
+              | path ->
+                let rec back v acc =
+                  if v = src then src :: acc else back (Coupling.prev sc v) (v :: acc)
+                in
+                Alcotest.(check (list int)) (where ^ " path") path (back dst []))
+            nodes
+      done)
+    graphs
+
 let test_subset_components () =
   let g = Devices.line 6 in
-  let comps = Coupling.subset_components g [ 0; 1; 3; 4; 5 ] in
-  check_int "two components" 2 (List.length comps);
-  Alcotest.(check (list int)) "component of 4" [ 3; 4; 5 ]
-    (Coupling.component_of g [ 0; 1; 3; 4; 5 ] 4)
+  let sc = Coupling.scratch g in
+  let nodes = [| 4; 0; 1; 3; 5 |] in
+  check_int "two components" 2 (Coupling.components g sc nodes 5);
+  check_int "numbered by first node" 0 (Coupling.component sc 5);
+  check_int "second component" 1 (Coupling.component sc 1);
+  check_int "size of {3, 4, 5}" 3 (Coupling.component_size sc 0);
+  check "not connected" false (Coupling.connected g sc nodes 5);
+  check "prefix {4} connected" true (Coupling.connected g sc nodes 1);
+  check "empty set connected" true (Coupling.connected g sc nodes 0);
+  Alcotest.check_raises "scratch of another graph"
+    (Invalid_argument "Coupling: scratch made for another graph") (fun () ->
+      ignore (Coupling.connected (Devices.line 5) sc nodes 1))
 
 let test_densest_subgraph () =
   let g = Devices.grid 3 3 in
   let nodes = Coupling.densest_subgraph g 4 in
   check_int "4 nodes" 4 (List.length nodes);
   (* Chosen nodes form a connected induced subgraph. *)
-  check_int "connected" 1 (List.length (Coupling.subset_components g nodes))
+  check "connected" true
+    (Coupling.connected g (Coupling.scratch g) (Array.of_list nodes) (List.length nodes))
 
 let test_densest_subgraph_empty () =
   let g = Devices.grid 3 3 in
@@ -150,12 +253,22 @@ let test_densest_subgraph_empty () =
 
 let test_bfs_tree () =
   let g = Devices.line 5 in
-  let parents = Coupling.bfs_tree g ~root:2 ~nodes:[ 0; 1; 2; 3; 4 ] in
-  check_int "root parent" 2 parents.(2);
-  check_int "parent of 0" 1 parents.(0);
-  check_int "parent of 4" 3 parents.(4);
-  let partial = Coupling.bfs_tree g ~root:0 ~nodes:[ 0; 1; 3 ] in
-  check_int "unreachable node" (-1) partial.(3)
+  let sc = Coupling.scratch g in
+  Coupling.bfs_tree g sc ~root:2 [| 0; 1; 2; 3; 4 |] 5;
+  check_int "root parent" 2 (Coupling.parent sc 2);
+  check_int "parent of 0" 1 (Coupling.parent sc 0);
+  check_int "parent of 4" 3 (Coupling.parent sc 4);
+  check_int "depth of 0" 2 (Coupling.depth sc 0);
+  (* the tree survives the other routines *)
+  ignore (Coupling.components g sc [| 0; 4 |] 2);
+  check_int "parent of 0 after components" 1 (Coupling.parent sc 0);
+  Coupling.bfs_tree g sc ~root:0 [| 0; 1; 3 |] 3;
+  check_int "unreachable node" (-1) (Coupling.parent sc 3);
+  check_int "unreachable depth" (-1) (Coupling.depth sc 3);
+  check_int "node of the previous tree" (-1) (Coupling.parent sc 4);
+  Alcotest.check_raises "root outside nodes"
+    (Invalid_argument "Coupling.bfs_tree: root outside nodes") (fun () ->
+      Coupling.bfs_tree g sc ~root:4 [| 0; 1 |] 2)
 
 let test_manhattan () =
   let g = Devices.manhattan in
@@ -227,7 +340,7 @@ let test_layout_most_connected () =
   let positions = List.init 10 (Layout.phys l) in
   check_int "injective" 10 (List.length (List.sort_uniq Stdlib.compare positions));
   check_int "connected region" 1
-    (List.length (Coupling.subset_components Devices.manhattan positions))
+    (List.length (Coupling_ref.subset_components Devices.manhattan positions))
 
 let test_layout_validation () =
   Alcotest.check_raises "too many logical"
@@ -286,6 +399,8 @@ let () =
           Alcotest.test_case "distance and paths" `Quick test_distance_path;
           Alcotest.test_case "weighted paths" `Quick test_weighted_path;
           Alcotest.test_case "subset components" `Quick test_subset_components;
+          Alcotest.test_case "scratch routines match list-based oracles" `Quick
+            test_scratch_matches_ref;
           Alcotest.test_case "shortest-path tree matches per-pair Dijkstra" `Quick
             test_shortest_path_tree;
           Alcotest.test_case "densest subgraph" `Quick test_densest_subgraph;
