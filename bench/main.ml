@@ -1,10 +1,9 @@
 (* Bench harness: regenerates every table and figure of the paper's
    evaluation (Section 6).  Usage:
 
-     dune exec bench/main.exe                 # everything except `timing`
+     dune exec bench/main.exe                 # every experiment
      dune exec bench/main.exe table2-sc       # one experiment
      dune exec bench/main.exe table2-ft N2    # filter benchmarks by name
-     dune exec bench/main.exe timing          # bechamel compile-time study
      PH_BENCH_FULL=1 dune exec bench/main.exe # paper-scale workloads
 
    Every compiled circuit is certified against its rotation trace by the
@@ -13,12 +12,12 @@
 
    Machine-readable records: append `--json FILE` to any table run to
    also write every benchmark × config record (metrics plus the
-   per-stage compile trace) as a JSON array.  Counter trajectories
-   across commits live in `perf/history.csv`; `bench history compare`
-   diffs two commits or two such reports:
+   per-stage compile trace) as a JSON array.  Deterministic counter
+   rows per commit live in `perf/history.csv`, the one perf-tracking
+   path; a fresh recording is checked against its last commit:
 
-     dune exec bench/main.exe -- table2-ft --json new.json
-     dune exec bench/main.exe -- history compare old.json new.json *)
+     dune exec bench/main.exe -- history record --commit new --db new.csv --suite all
+     dune exec bench/main.exe -- history gate --candidate new.csv *)
 
 open Paulihedral
 open Ph_pauli_ir
@@ -656,95 +655,6 @@ let ablation filters =
   run "Heisen-1D"
     [ "backend-ft", ft_backend; "backend-ion", it_backend ]
 
-(* ---------- Compile-time study (bechamel) ---------- *)
-
-(* Word-parallel Pauli-kernel microbenchmarks: the symplectic bitplane
-   ops the schedulers and the frame verifier spend their time in, at
-   widths from sub-word to several words (the native word holds
-   Sys.int_size - 1 = 62 qubits per plane word). *)
-let kernel_tests () =
-  let open Bechamel in
-  let open Ph_pauli in
-  (* Deterministic LCG so every run benchmarks identical strings. *)
-  let string_at ~seed n =
-    let state = ref (seed land 0x3FFFFFFF) in
-    Pauli_string.make n (fun _ ->
-        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-        Pauli.of_code ((!state lsr 16) land 3))
-  in
-  List.concat_map
-    (fun n ->
-      let p = string_at ~seed:(0xA5 + n) n and q = string_at ~seed:(0x5A + n) n in
-      [
-        Test.make ~name:(Printf.sprintf "kernel/commutes-n%d" n)
-          (Staged.stage (fun () -> ignore (Pauli_string.commutes p q)));
-        Test.make ~name:(Printf.sprintf "kernel/overlap-n%d" n)
-          (Staged.stage (fun () -> ignore (Pauli_string.overlap p q)));
-        Test.make ~name:(Printf.sprintf "kernel/mul-n%d" n)
-          (Staged.stage (fun () -> ignore (Pauli_string.mul p q)));
-      ])
-    [ 16; 64; 80; 256 ]
-
-let timing () =
-  let open Bechamel in
-  let open Toolkit in
-  Printf.printf "\n=== Compilation-time study (bechamel, one test per table) ===\n%!";
-  let stage f = Staged.stage f in
-  let uccsd8 = (Suite.find "UCCSD-8").Suite.generate () in
-  let reg = (Suite.find "REG-20-4").Suite.generate () in
-  let heisen = (Suite.find "Heisen-2D").Suite.generate () in
-  let rand30 = (Suite.find "Rand-30").Suite.generate () in
-  let fig11_graph = Graphs.regular ~seed:407 7 4 in
-  let fig11_prog = Qaoa.maxcut fig11_graph ~gamma:0.5 in
-  let tests =
-    [
-      Test.make ~name:"table1/naive-UCCSD-8"
-        (stage (fun () -> ignore (Ph_synthesis.Naive.synthesize uccsd8)));
-      Test.make ~name:"table2-sc/ph-UCCSD-8"
-        (stage (fun () -> ignore (ph (Config.sc sc_device) uccsd8)));
-      Test.make ~name:"table2-ft/ph-Rand-30"
-        (stage (fun () -> ignore (ph (Config.ft ()) rand30)));
-      Test.make ~name:"table3/ph-REG-20-4"
-        (stage (fun () -> ignore (ph (Config.sc sc_device) reg)));
-      Test.make ~name:"table4/do-Heisen-2D"
-        (stage (fun () ->
-             ignore (ph (Config.ft ~schedule:Config.Depth_oriented ()) heisen)));
-      Test.make ~name:"fig11/ph-REG-n7-d4"
-        (stage (fun () -> ignore (ph (Config.sc Devices.melbourne) fig11_prog)));
-    ]
-    @ (* schedule_s study: the DO scheduler alone over the 64-256 qubit
-         scale suite, no synthesis — the rows the arena rewrite targets *)
-    List.map
-      (fun (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        Test.make ~name:(Printf.sprintf "sched/do-%s" b.Suite.name)
-          (stage (fun () ->
-               ignore (Ph_schedule.Depth_oriented.schedule prog))))
-      (Suite.scale ())
-    @ kernel_tests ()
-  in
-  let test = Test.make_grouped ~name:"paulihedral" ~fmt:"%s %s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:true () in
-  let raw = Benchmark.all cfg instances test in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun _label per_test ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (t :: _) when t < 1e4 ->
-            (* kernel microbenchmarks land in the ns range *)
-            Printf.printf "%-40s %12.1f ns/run\n" name t
-          | Some (t :: _) -> Printf.printf "%-40s %12.3f ms/run\n" name (t /. 1e6)
-          | _ -> Printf.printf "%-40s (no estimate)\n" name)
-        per_test)
-    results
-
 (* ---------- driver ---------- *)
 
 let experiments =
@@ -762,11 +672,10 @@ let experiments =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [table1|table2-sc|table2-ft|table3|table4-sched|table4-bc|fig11|ablation|scale|timing] [benchmark names...] [--json FILE] [--lint] [--jobs N] [--sched-jobs N] [--cache DIR]\n\
+    "usage: main.exe [table1|table2-sc|table2-ft|table3|table4-sched|table4-bc|fig11|ablation|scale] [benchmark names...] [--json FILE] [--lint] [--jobs N] [--sched-jobs N] [--cache DIR]\n\
     \       main.exe history record --commit LABEL [--db FILE] [--suite ft|sc|scale|all] [--jobs N]\n\
-    \       main.exe history import FILE.json --commit LABEL [--db FILE]\n\
     \       main.exe history show [--db FILE] [--counter NAME] [--last N]\n\
-    \       main.exe history compare A B [--db FILE]   (commit labels or .json reports)\n\
+    \       main.exe history compare A B [--db FILE]   (two commit labels)\n\
     \       main.exe history gate [--db FILE] [--candidate FILE.csv] [--against LABEL] [--suite ft|sc|scale|all] [--threshold PCT]";
   exit 1
 
@@ -787,9 +696,8 @@ let default_db = "perf/history.csv"
 
 (* Fresh compiles of the PH columns of the table-2 and scale tables
    (never cache-served: the counters must measure work actually
-   performed here), under the tables' own record labels, so imported
-   BENCH_*.json rows and freshly recorded rows land on the same
-   (bench, config) keys. *)
+   performed here), under the tables' own record labels, so every
+   recording lands on the same (bench, config) keys. *)
 let history_records suite =
   let tables =
     match suite with
@@ -818,29 +726,14 @@ let history_records suite =
 let rows_of_records ~commit records =
   List.concat_map (Report.perf_rows ~commit) records
 
-(* Records of a bench --json report.  A missing or malformed file is a
-   usage error of `history import|compare`, not a crash. *)
-let load_records path =
-  let fail msg =
-    (* the Sys_error of a failed open already names the file *)
-    let msg =
-      if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg
-    in
-    Printf.eprintf "history: %s\n" msg;
+(* A commit's rows; a label the db lacks is a usage error, not an empty
+   table. *)
+let commit_rows ~db_path db label =
+  match Ph_perf.Db.rows_for db label with
+  | [] ->
+    Printf.eprintf "history: no rows for commit %s in %s\n" label db_path;
     exit 1
-  in
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> fail msg
-  | s -> (
-    try List.map Report.record_of_json (Json.to_list (Json.parse s))
-    with Json.Parse_error msg -> fail msg)
-
-(* A comparison operand is either a commit label in the db or a path to
-   a bench --json report (rows synthesized under the file name). *)
-let history_operand db spec =
-  if Filename.check_suffix spec ".json" then
-    spec, rows_of_records ~commit:spec (load_records spec)
-  else spec, Ph_perf.Db.rows_for db spec
+  | rows -> rows
 
 let last_commit db =
   match List.rev (Ph_perf.Db.commits db) with
@@ -882,15 +775,6 @@ let history_entry args =
     Printf.printf "history: appended %d rows (%d records, suite %s) for %s to %s\n"
       (List.length rows) (List.length records) suite commit db_path;
     0
-  | "import" :: file :: rest ->
-    let commit, rest = extract_opt "--commit" [] rest in
-    if rest <> [] then usage ();
-    let commit = match commit with Some c -> c | None -> usage () in
-    let rows = rows_of_records ~commit (load_records file) in
-    Ph_perf.Db.append db_path rows;
-    Printf.printf "history: imported %d rows from %s as %s into %s\n"
-      (List.length rows) file commit db_path;
-    0
   | "show" :: rest ->
     let counter, rest = extract_opt "--counter" [] rest in
     let last, rest = extract_opt "--last" [] rest in
@@ -910,10 +794,14 @@ let history_entry args =
       Printf.printf "history: %s — %d rows, %d commits (%s)\n" db_path
         (List.length db) (List.length commits)
         (String.concat " " commits);
+      let names = Ph_perf.History.counter_names db in
       let names =
         match counter with
-        | None -> Ph_perf.History.counter_names db
-        | Some c -> [ c ]
+        | None -> names
+        | Some c when List.mem c names -> [ c ]
+        | Some c ->
+          Printf.eprintf "history: no rows for counter %s in %s\n" c db_path;
+          exit 1
       in
       List.iter
         (fun name ->
@@ -944,21 +832,13 @@ let history_entry args =
         names;
       0
     end
-  | "compare" :: rest ->
-    let rest, operands =
-      List.partition (fun a -> String.length a > 2 && String.sub a 0 2 = "--") rest
-    in
-    if rest <> [] then usage ();
-    (match operands with
-    | [ a; b ] ->
-      let db = Ph_perf.Db.load db_path in
-      let la, base = history_operand db a in
-      let lb, cand = history_operand db b in
-      Printf.printf "=== history compare: %s (A, %d rows) vs %s (B, %d rows) ===\n"
-        la (List.length base) lb (List.length cand);
-      print_summaries (Ph_perf.History.summarize ~baseline:base ~candidate:cand);
-      0
-    | _ -> usage ())
+  | [ "compare"; a; b ] ->
+    let db = Ph_perf.Db.load db_path in
+    let base = commit_rows ~db_path db a and cand = commit_rows ~db_path db b in
+    Printf.printf "=== history compare: %s (A, %d rows) vs %s (B, %d rows) ===\n" a
+      (List.length base) b (List.length cand);
+    print_summaries (Ph_perf.History.summarize ~baseline:base ~candidate:cand);
+    0
   | "gate" :: rest ->
     let threshold, rest = extract_opt "--threshold" [] rest in
     let against, rest = extract_opt "--against" [] rest in
@@ -973,12 +853,7 @@ let history_entry args =
     in
     let db = Ph_perf.Db.load db_path in
     let base_label = match against with Some l -> l | None -> last_commit db in
-    let baseline = Ph_perf.Db.rows_for db base_label in
-    if baseline = [] then begin
-      Printf.eprintf "history gate: no rows for baseline %s in %s\n" base_label
-        db_path;
-      exit 1
-    end;
+    let baseline = commit_rows ~db_path db base_label in
     let cand_label, cand_rows =
       match candidate with
       | Some file ->
@@ -1005,6 +880,15 @@ let history_entry args =
           "note: ungated counter %s grew %.3fx (recorded, never gated)\n"
           s.counter s.ratio)
       r.Ph_perf.History.ungated_regressions;
+    (* a baseline that lacks the candidate's suite would gate nothing *)
+    if
+      List.for_all
+        (fun (s : Ph_perf.History.summary) -> s.matched = 0)
+        r.Ph_perf.History.summaries
+    then begin
+      Printf.eprintf "history: %s shares no rows with %s\n" cand_label base_label;
+      exit 1
+    end;
     (match r.Ph_perf.History.failures with
     | [] ->
       Printf.printf "history gate: OK (threshold +%.1f%%)\n" threshold;
@@ -1051,7 +935,6 @@ let () =
   json_enabled := json_path <> None;
   (match args with
   | "history" :: rest -> exit (history_entry rest)
-  | "timing" :: _ -> timing ()
   | name :: filters when List.mem_assoc name experiments ->
     (List.assoc name experiments) filters
   | [] -> List.iter (fun (_, f) -> f []) experiments

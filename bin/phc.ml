@@ -482,8 +482,8 @@ let run_analyze file backend device schedule window params gap_threshold lint
     let errors = Lint.Diag.errors diags in
     if json then
       (* a one-element list of the normalized record — the exact shape
-         bench/main.exe --json writes, so `bench history compare` can
-         diff the gap counters of two analyze runs *)
+         bench/main.exe --json writes, so tools that read bench reports
+         read analyze output too *)
       let record =
         Report.normalize_record
           (Ph_pool.Batch.record ~name:(Filename.basename file)

@@ -16,9 +16,10 @@
 #
 # Usage: tools/determinism_matrix.sh [OUT_DIR]   (default: determinism-out)
 #
-# Outputs land in OUT_DIR; OUT_DIR/perf_j1.csv is the ft-suite recording
-# a regression gate can use (`bench history gate --candidate`).  Exit 1
-# on the first pair that differs.  Takes about 100 s on two cores.
+# Outputs land in OUT_DIR; OUT_DIR/perf_j1.csv (ft), perf_sc_j1.csv (sc)
+# and perf_scale_sj1.csv (scale) are the three recordings the regression
+# gate checks (`bench history gate --candidate FILE`).  Exit 1 on the
+# first pair that differs.  Takes about 100 s on two cores.
 
 set -eu
 cd "$(dirname "$0")/.."
