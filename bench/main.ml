@@ -769,6 +769,13 @@ let history_entry args =
     if rest <> [] then usage ();
     let commit = match commit with Some c -> c | None -> usage () in
     let suite = Option.value suite ~default:"ft" in
+    (* A second recording under one label would duplicate its (bench,
+       config, counter) keys, and compare/gate would count each pair
+       twice. *)
+    if Ph_perf.Db.rows_for (Ph_perf.Db.load db_path) commit <> [] then begin
+      Printf.eprintf "history: %s already holds rows for commit %s\n" db_path commit;
+      exit 1
+    end;
     let records = history_records suite in
     let rows = rows_of_records ~commit records in
     Ph_perf.Db.append db_path rows;

@@ -18,7 +18,9 @@ val conjugate : Gate.t -> Pauli_string.t * int -> Pauli_string.t * int
     The construction fixes one string at a time: [S] gates clear [Y]s,
     CNOTs fold the X-support onto a pivot, [H·CNOT·H] (= CZ) clears
     leftover [Z]s, and a final [H] turns the single [X] into a [Z];
-    commutation guarantees previously fixed strings stay diagonal.
+    commutation guarantees previously fixed strings stay diagonal.  The
+    rows live in one flat bitplane tableau updated in place; a set with
+    no X or Y anywhere comes back as given, with no gates.
 
     @raise Invalid_argument if the strings do not mutually commute. *)
 val diagonalize :

@@ -32,6 +32,7 @@ module Builder = struct
 end
 
 let of_gates n gates = { n_qubits = n; gates = Array.of_list gates }
+let of_array n gates = { n_qubits = n; gates }
 let empty n = { n_qubits = n; gates = [||] }
 
 let n_qubits c = c.n_qubits

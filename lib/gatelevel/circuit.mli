@@ -21,6 +21,10 @@ module Builder : sig
 end
 
 val of_gates : int -> Gate.t list -> t
+
+(** [of_array n gates] takes [gates] as the circuit's gate array, without
+    a copy: the caller must not write to it afterwards. *)
+val of_array : int -> Gate.t array -> t
 val empty : int -> t
 
 val n_qubits : t -> int

@@ -378,26 +378,31 @@ let round s ~window =
   Ph_perf.Counter.add Ph_perf.Counter.peephole_probes !probes;
   !removed
 
-(* Unmerged slots reuse the input's gate values. *)
-let unpack s circuit =
-  let b = Circuit.Builder.create (Circuit.n_qubits circuit) in
+(* The [live] survivors into one exact-size array; unmerged slots reuse
+   the input's gate values.  Charges [circuit_gates_built] as the
+   builder it replaces did. *)
+let unpack s circuit ~live =
+  Ph_perf.Counter.add Ph_perf.Counter.circuit_gates_built live;
+  let out = Array.make live (Gate.H 0) in
+  let i = ref 0 in
   Array.iteri
     (fun j g ->
       let c = code s j in
       if c >= 0 then begin
         let k = get s.merged j in
-        Circuit.Builder.add b
-          (if k < 0 then g else decode c (Float.Array.unsafe_get s.angles k))
+        out.(!i) <- (if k < 0 then g else decode c (Float.Array.unsafe_get s.angles k));
+        incr i
       end)
     s.gates;
-  Circuit.Builder.to_circuit b
+  assert (!i = live);
+  Circuit.of_array (Circuit.n_qubits circuit) out
 
 let default_window = 400
 
 let cancel_once ?(window = default_window) circuit =
   let s, zeros = scratch circuit in
   let removed = zeros + round s ~window in
-  unpack s circuit, removed
+  unpack s circuit ~live:(Circuit.length circuit - removed), removed
 
 type stats = { removed : int; rounds : int }
 
@@ -411,7 +416,8 @@ let optimize_stats ?(window = default_window) ?(max_rounds = 20) circuit =
     let m = Circuit.length circuit in
     let rec go total rounds r =
       let total = total + r and rounds = rounds + 1 in
-      if r = 0 || rounds >= max_rounds then unpack s circuit, { removed = total; rounds }
+      if r = 0 || rounds >= max_rounds then
+        unpack s circuit ~live:(m - total), { removed = total; rounds }
       else begin
         Ph_perf.Counter.add Ph_perf.Counter.circuit_gates_built (m - total);
         go total rounds (round s ~window)

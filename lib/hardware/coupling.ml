@@ -343,31 +343,44 @@ let is_connected g =
   done;
   !count = g.n
 
+(* [inside.(v)] counts [v]'s neighbours already in the set, updated
+   over the CSR arcs of each added node, so a step compares plain ints
+   (most inside edges, then highest degree, first maximum in node
+   order). *)
 let densest_subgraph g k =
   if k < 0 then invalid_arg "Coupling.densest_subgraph: k < 0";
   if k > g.n then invalid_arg "Coupling.densest_subgraph: k > n";
   if k = 0 then []
   else begin
-    let in_set = Array.make g.n false in
+    let in_set = Array.make g.n false and inside = Array.make g.n 0 in
+    let deg v = g.first.(v + 1) - g.first.(v) in
+    let add v =
+      in_set.(v) <- true;
+      for a = g.first.(v) to g.first.(v + 1) - 1 do
+        let u = g.head.(a) in
+        inside.(u) <- inside.(u) + 1
+      done
+    in
     let seed = ref 0 in
     for v = 1 to g.n - 1 do
-      if degree g v > degree g !seed then seed := v
+      if deg v > deg !seed then seed := v
     done;
-    in_set.(!seed) <- true;
+    add !seed;
     let chosen = ref [ !seed ] in
     for _ = 2 to k do
-      let best = ref (-1) and best_key = ref (-1, -1) in
+      let best = ref (-1) and best_in = ref 0 and best_deg = ref (-1) in
       for v = 0 to g.n - 1 do
-        if not in_set.(v) then begin
-          let inside = List.length (List.filter (fun u -> in_set.(u)) g.adj.(v)) in
-          if inside > 0 && (inside, degree g v) > !best_key then begin
-            best_key := inside, degree g v;
-            best := v
-          end
+        let i = inside.(v) in
+        if i > 0 && (not in_set.(v))
+           && (i > !best_in || (i = !best_in && deg v > !best_deg))
+        then begin
+          best_in := i;
+          best_deg := deg v;
+          best := v
         end
       done;
       if !best = -1 then invalid_arg "Coupling.densest_subgraph: graph too disconnected";
-      in_set.(!best) <- true;
+      add !best;
       chosen := !best :: !chosen
     done;
     List.rev !chosen

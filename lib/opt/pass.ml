@@ -94,6 +94,9 @@ let diagonalize_class param terms =
 
 (* ---------- pass 3: fusion / rewriting ---------- *)
 
+(* Keyed by string; only ever looked up, never iterated. *)
+module Tbl = Hashtbl.Make (Pauli_string)
+
 let same_clifford a b =
   List.compare_lengths a b = 0 && List.for_all2 Ph_gatelevel.Gate.equal a b
 
@@ -113,58 +116,69 @@ let rec merge_groups = function
    drop the exact zeros.  Exact because all blocks here are Z/I-only:
    every pair of diagonal rotations commutes. *)
 let combine_terms terms =
-  let totals : (Pauli_string.t, float ref) Hashtbl.t = Hashtbl.create 16 in
+  let totals : float ref Tbl.t = Tbl.create 16 in
   let order =
     List.filter_map
       (fun (t : Pauli_term.t) ->
-        match Hashtbl.find_opt totals t.Pauli_term.str with
+        match Tbl.find_opt totals t.Pauli_term.str with
         | Some cell ->
           cell := !cell +. t.Pauli_term.coeff;
           None
         | None ->
-          Hashtbl.add totals t.Pauli_term.str (ref t.Pauli_term.coeff);
+          Tbl.add totals t.Pauli_term.str (ref t.Pauli_term.coeff);
           Some t.Pauli_term.str)
       terms
   in
   List.filter_map
     (fun str ->
-      let w = !(Hashtbl.find totals str) in
+      let w = !(Tbl.find totals str) in
       if w = 0. then None else Some (Pauli_term.make str w))
     order
 
-(* Merge adjacent same-support same-parameter diagonal blocks. *)
-let rec merge_blocks = function
-  | a :: b :: rest
-    when Block.param a = Block.param b
-         && Qubit_set.equal (Block.active_set a) (Block.active_set b) -> (
-    match combine_terms (Block.terms a @ Block.terms b) with
-    | [] -> merge_blocks rest
-    | terms -> merge_blocks (Block.make terms (Block.param a) :: rest))
-  | a :: rest -> a :: merge_blocks rest
-  | [] -> []
+(* Merge adjacent same-support same-parameter diagonal blocks.  Each
+   block's active set is computed at most once, and only when its
+   neighbour's parameter matches. *)
+let merge_blocks blocks =
+  let rec go a sa = function
+    | b :: rest ->
+      let sb = lazy (Block.active_set b) in
+      if Block.param a = Block.param b && Qubit_set.equal (Lazy.force sa) (Lazy.force sb)
+      then (
+        match combine_terms (Block.terms a @ Block.terms b) with
+        | [] -> start rest
+        | terms ->
+          let m = Block.make terms (Block.param a) in
+          go m (lazy (Block.active_set m)) rest)
+      else a :: go b sb rest
+    | [] -> [ a ]
+  and start = function
+    | a :: rest -> go a (lazy (Block.active_set a)) rest
+    | [] -> []
+  in
+  start blocks
 
 (* Cross-block exact cancellation inside one Clifford frame: when a
    diagonal string's total angle [Σ 2wt] over every block of the group
    is exactly zero, the product of its rotations is the identity (they
    all commute), so every occurrence is removed. *)
 let cancel_across blocks =
-  let totals : (Pauli_string.t, float ref) Hashtbl.t = Hashtbl.create 16 in
+  let totals : float ref Tbl.t = Tbl.create 16 in
   List.iter
     (fun b ->
       let v = (Block.param b).Block.value in
       List.iter
         (fun (t : Pauli_term.t) ->
           let theta = 2. *. t.Pauli_term.coeff *. v in
-          match Hashtbl.find_opt totals t.Pauli_term.str with
+          match Tbl.find_opt totals t.Pauli_term.str with
           | Some cell -> cell := !cell +. theta
-          | None -> Hashtbl.add totals t.Pauli_term.str (ref theta))
+          | None -> Tbl.add totals t.Pauli_term.str (ref theta))
         (Block.terms b))
     blocks;
   List.filter_map
     (fun b ->
       match
         List.filter
-          (fun (t : Pauli_term.t) -> !(Hashtbl.find totals t.Pauli_term.str) <> 0.)
+          (fun (t : Pauli_term.t) -> !(Tbl.find totals t.Pauli_term.str) <> 0.)
           (Block.terms b)
       with
       | [] -> None

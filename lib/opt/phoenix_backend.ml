@@ -11,6 +11,7 @@ open Ph_pauli_ir
 open Ph_gatelevel
 open Ph_schedule
 open Ph_synthesis
+module Tbl = Hashtbl.Make (Pauli_string)
 
 let emittable_layers blocks =
   List.filter_map
@@ -32,16 +33,16 @@ let synthesize_ft ~n_qubits (pass : Pass.t) =
       | [] -> ()
       | layers ->
         (* diag → (original, sign); lookups only, never iterated *)
-        let origin = Hashtbl.create 16 in
+        let origin = Tbl.create 16 in
         List.iter
-          (fun (orig, diag, sign) -> Hashtbl.replace origin diag (orig, sign))
+          (fun (orig, diag, sign) -> Tbl.replace origin diag (orig, sign))
           g.Pass.rows;
         Circuit.Builder.add_list builder g.Pass.clifford;
         let r = Ft_backend.synthesize ~n_qubits layers in
         Circuit.Builder.append builder r.Emit.circuit;
         List.iter
           (fun (diag, theta) ->
-            match Hashtbl.find_opt origin diag with
+            match Tbl.find_opt origin diag with
             | Some (orig, sign) -> rotations := (orig, sign *. theta) :: !rotations
             | None ->
               invalid_arg "Phoenix_backend: emitted rotation missing from rows")

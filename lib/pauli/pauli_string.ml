@@ -168,7 +168,9 @@ let compare p q =
     let c = go p.x q.x 0 in
     if c <> 0 then c else go p.z q.z 0
 
-let hash p = Hashtbl.hash (p.n, p.x, p.z)
+(* The record is laid out as the tuple (n, x, z), so this is that
+   tuple's structural hash without building the tuple. *)
+let hash (p : t) = Hashtbl.hash p
 
 let compare_lex ?(rank = Pauli.paper_rank) p q =
   check_sizes "compare_lex" p q;

@@ -7,7 +7,10 @@
      the destination is extracted;
    - the list-based subset routines [subset_components], [component_of]
      and [bfs_tree] that [Coupling]'s scratch routines ([components],
-     [connected], [bfs_tree]) replaced. *)
+     [connected], [bfs_tree]) replaced;
+   - the rescan-every-step [densest_subgraph] (a [List.filter] over each
+     candidate's neighbours and a tuple compare per candidate per step)
+     that the incremental inside-neighbour count replaced. *)
 
 open Ph_hardware
 
@@ -95,3 +98,36 @@ let bfs_tree g ~root ~nodes =
       (Coupling.neighbors g u)
   done;
   parents
+
+let densest_subgraph g k =
+  let n = Coupling.n_qubits g in
+  if k < 0 then invalid_arg "Coupling.densest_subgraph: k < 0";
+  if k > n then invalid_arg "Coupling.densest_subgraph: k > n";
+  if k = 0 then []
+  else begin
+    let in_set = Array.make n false in
+    let seed = ref 0 in
+    for v = 1 to n - 1 do
+      if Coupling.degree g v > Coupling.degree g !seed then seed := v
+    done;
+    in_set.(!seed) <- true;
+    let chosen = ref [ !seed ] in
+    for _ = 2 to k do
+      let best = ref (-1) and best_key = ref (-1, -1) in
+      for v = 0 to n - 1 do
+        if not in_set.(v) then begin
+          let inside =
+            List.length (List.filter (fun u -> in_set.(u)) (Coupling.neighbors g v))
+          in
+          if inside > 0 && (inside, Coupling.degree g v) > !best_key then begin
+            best_key := inside, Coupling.degree g v;
+            best := v
+          end
+        end
+      done;
+      if !best = -1 then invalid_arg "Coupling.densest_subgraph: graph too disconnected";
+      in_set.(!best) <- true;
+      chosen := !best :: !chosen
+    done;
+    List.rev !chosen
+  end

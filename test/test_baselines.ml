@@ -201,6 +201,92 @@ let prop_diagonalize_conjugated_sets =
                Pauli_string.equal (fst c) d && snd c = k)
              strings diags)
 
+(* --- Symplectic.diagonalize against the list-based reference --- *)
+
+(* Identical gate lists and identical signed images. *)
+let check_same_as_ref what strings =
+  let gates, images = Symplectic.diagonalize strings in
+  let ref_gates, ref_images = Symplectic_ref.diagonalize strings in
+  check (what ^ ": gates") true (List.equal Gate.equal gates ref_gates);
+  check (what ^ ": signed images") true
+    (List.equal
+       (fun (p, k) (q, l) -> Pauli_string.equal p q && k = l)
+       images ref_images)
+
+(* [count] random Cliffords on [n] qubits; CNOTs pick any two qubits,
+   so they cross the packing-word boundary. *)
+let random_cliffords rand n count =
+  let q () = Random.State.int rand n in
+  List.init count (fun _ ->
+      match Random.State.int rand (if n = 1 then 3 else 5) with
+      | 0 -> Gate.H (q ())
+      | 1 -> Gate.S (q ())
+      | 2 -> Gate.Sdg (q ())
+      | _ ->
+        let a = q () in
+        Gate.Cnot (a, (a + 1 + Random.State.int rand (n - 1)) mod n))
+
+let conjugated gates strings =
+  List.map (fun p -> fst (Symplectic.conjugate_list gates (p, 0))) strings
+
+let test_diagonalize_matches_ref_widths () =
+  let rand = Random.State.make [| 29 |] in
+  for n = 1 to 130 do
+    for _ = 1 to 3 do
+      let zset = QCheck.Gen.generate1 ~rand (gen_commuting_set n) in
+      if zset <> [] then begin
+        let what = Printf.sprintf "n=%d" n in
+        check_same_as_ref (what ^ " all-diagonal") zset;
+        check_same_as_ref (what ^ " scrambled")
+          (conjugated (random_cliffords rand n (4 * n)) zset);
+        (* H then S on every qubit turns the Z-set into Y/I strings; a
+           few CNOTs keep it Y-heavy. *)
+        let to_y = List.init n (fun q -> Gate.H q) @ List.init n (fun q -> Gate.S q) in
+        check_same_as_ref (what ^ " Y-heavy")
+          (conjugated (to_y @ random_cliffords rand n (1 + (n / 8))) zset)
+      end;
+      let single =
+        Pauli_string.make n (fun _ -> List.nth Pauli.all (Random.State.int rand 4))
+      in
+      if not (Pauli_string.is_identity single) then
+        check_same_as_ref (Printf.sprintf "n=%d singleton" n) [ single ]
+    done
+  done
+
+(* First-fit commuting classes of each block, in term order — the
+   optimizer's grouping (its disjoint-support shortcut never changes a
+   placement), checked against [Pass.run]'s class count. *)
+let phoenix_classes prog =
+  List.concat_map
+    (fun b ->
+      let classes = ref [] in
+      if (Block.param b).Block.value <> 0. then
+        List.iter
+          (fun (t : Pauli_term.t) ->
+            let s = t.Pauli_term.str in
+            if (not (Pauli_string.is_identity s)) && t.Pauli_term.coeff <> 0. then
+              match
+                List.find_opt (fun c -> List.for_all (Pauli_string.commutes s) !c) !classes
+              with
+              | Some c -> c := !c @ [ s ]
+              | None -> classes := !classes @ [ ref [ s ] ])
+          (Block.terms b);
+      List.map ( ! ) !classes)
+    (Program.blocks prog)
+
+let test_diagonalize_matches_ref_table2 () =
+  List.iter
+    (fun (b : Ph_benchmarks.Suite.t) ->
+      let prog = b.Ph_benchmarks.Suite.generate () in
+      let classes = phoenix_classes prog in
+      check_int (b.Ph_benchmarks.Suite.name ^ " classes")
+        (Ph_opt.Pass.run prog).Ph_opt.Pass.stats.Ph_opt.Pass.groups
+        (List.length classes);
+      List.iteri
+        (fun i c -> check_same_as_ref (Printf.sprintf "%s class %d" b.Ph_benchmarks.Suite.name i) c)
+        classes)
+    (Ph_benchmarks.Suite.all ())
+
 (* --- Tk_like --- *)
 
 let test_tk_partition_commuting () =
@@ -376,6 +462,10 @@ let () =
           qcheck prop_conjugate_preserves_weighted_commutation;
           qcheck prop_diagonalize_z_sets;
           qcheck prop_diagonalize_conjugated_sets;
+          Alcotest.test_case "matches reference, widths 1-130" `Quick
+            test_diagonalize_matches_ref_widths;
+          Alcotest.test_case "matches reference, table-2 classes" `Quick
+            test_diagonalize_matches_ref_table2;
         ] );
       ( "tk_like",
         [

@@ -242,6 +242,23 @@ let test_densest_subgraph () =
   check "connected" true
     (Coupling.connected g (Coupling.scratch g) (Array.of_list nodes) (List.length nodes))
 
+let test_densest_subgraph_matches_ref () =
+  List.iter
+    (fun (name, g) ->
+      for k = 0 to Coupling.n_qubits g do
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s k=%d" name k)
+          (Coupling_ref.densest_subgraph g k)
+          (Coupling.densest_subgraph g k)
+      done)
+    [
+      "manhattan", Devices.manhattan;
+      "melbourne", Devices.melbourne;
+      "grid 5x5", Devices.grid 5 5;
+      "heavy-hex 3x9", Devices.heavy_hex ~rows:3 ~row_length:9;
+      "line:9", Devices.line 9;
+    ]
+
 let test_densest_subgraph_empty () =
   let g = Devices.grid 3 3 in
   Alcotest.(check (list int)) "k = 0 gives no nodes" [] (Coupling.densest_subgraph g 0);
@@ -405,6 +422,8 @@ let () =
             test_shortest_path_tree;
           Alcotest.test_case "densest subgraph" `Quick test_densest_subgraph;
           Alcotest.test_case "densest subgraph of k <= 0" `Quick test_densest_subgraph_empty;
+          Alcotest.test_case "densest subgraph matches rescan oracle" `Quick
+            test_densest_subgraph_matches_ref;
           Alcotest.test_case "bfs tree" `Quick test_bfs_tree;
           qcheck prop_distance_triangle;
           qcheck prop_path_valid;
