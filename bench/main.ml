@@ -540,25 +540,7 @@ let fig11 filters =
            low-lookahead routing, matching the strength of the generic
            compiler the paper benchmarked against (EXPERIMENTS.md
            discusses the stronger modern-router baseline). *)
-        let base =
-          let lowered = Ph_synthesis.Naive.synthesize prog in
-          let routed =
-            Ph_baselines.Router.route ~initial:`Identity ~lookahead:1
-              ~coupling:device lowered.Ph_synthesis.Emit.circuit
-          in
-          let circuit =
-            Ph_gatelevel.Peephole.optimize
-              (Ph_gatelevel.Circuit.decompose_swaps routed.Ph_baselines.Router.circuit)
-          in
-          {
-            Pipelines.circuit;
-            rotations = lowered.Ph_synthesis.Emit.rotations;
-            initial_layout = Some routed.Ph_baselines.Router.initial_layout;
-            final_layout = Some routed.Ph_baselines.Router.final_layout;
-            metrics = Report.of_circuit circuit;
-            trace = Report.empty_trace;
-          }
-        in
+        let base = Pipelines.naive_sc ~initial:`Identity ~lookahead:1 device prog in
         let ph = ph (Config.sc device) prog in
         let eval r seed =
           Ph_sim.Qaoa_run.evaluate ~noise ~trajectories ~seed g (kernel_of r) ~beta
@@ -601,30 +583,23 @@ let ablation filters =
         row name [ vname; string_of_int m.Report.cnot; string_of_int m.Report.depth ])
       variants
   in
-  let ft_mode mode prog =
-    let layers = Ph_schedule.Gco.schedule prog in
-    let r = Ph_synthesis.Ft_backend.synthesize ~mode ~n_qubits:(Program.n_qubits prog) layers in
-    Report.of_circuit (Ph_gatelevel.Peephole.optimize r.Ph_synthesis.Emit.circuit)
+  (* each variant synthesizes, then runs the shared lowering tail *)
+  let ft ?mode layers prog =
+    let r = Ph_synthesis.Ft_backend.synthesize ?mode ~n_qubits:(Program.n_qubits prog) layers in
+    (Compiler.lower ~peephole:true ~rotations:r.rotations r.circuit).Compiler.metrics
   in
-  let do_padding padding prog =
-    let layers = Ph_schedule.Depth_oriented.schedule ~padding prog in
-    let r = Ph_synthesis.Ft_backend.synthesize ~n_qubits:(Program.n_qubits prog) layers in
-    Report.of_circuit (Ph_gatelevel.Peephole.optimize r.Ph_synthesis.Emit.circuit)
-  in
+  let ft_mode mode prog = ft ~mode (Ph_schedule.Gco.schedule prog) prog in
+  let do_padding padding prog = ft (Ph_schedule.Depth_oriented.schedule ~padding prog) prog in
+  let lex_rank rank prog = ft (Ph_schedule.Gco.schedule ?rank prog) prog in
   let sc_root root_policy prog =
     let layers = Ph_schedule.Depth_oriented.schedule prog in
     let r =
       Ph_synthesis.Sc_backend.synthesize ~root_policy ~coupling:sc_device
         ~n_qubits:(Program.n_qubits prog) layers
     in
-    Report.of_circuit
-      (Ph_gatelevel.Peephole.optimize
-         (Ph_gatelevel.Circuit.decompose_swaps r.Ph_synthesis.Sc_backend.circuit))
-  in
-  let lex_rank rank prog =
-    let layers = Ph_schedule.Gco.schedule ?rank prog in
-    let r = Ph_synthesis.Ft_backend.synthesize ~n_qubits:(Program.n_qubits prog) layers in
-    Report.of_circuit (Ph_gatelevel.Peephole.optimize r.Ph_synthesis.Emit.circuit)
+    (Compiler.lower ~peephole:true ~rotations:r.rotations
+       ~layouts:(r.initial_layout, r.final_layout) r.circuit)
+      .Compiler.metrics
   in
   let run name cases =
     if filters = [] || List.mem name filters then begin

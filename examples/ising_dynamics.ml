@@ -67,8 +67,7 @@ let () =
       let compiled =
         Compiler.compile (Config.ft ~schedule:Config.Program_order ()) program
       in
-      assert (Ph_verify.Pauli_frame.verify_ft compiled.Compiler.circuit
-                ~trace:compiled.Compiler.rotations);
+      assert (Compiler.verified compiled);
       Printf.printf "%8d %12.6f %12.6f %10d\n" steps
         (z0_after compiled.Compiler.circuit)
         exact_z0 compiled.Compiler.metrics.Report.total)
@@ -84,6 +83,4 @@ let () =
     "\nHeisen-2D at paper scale (30 qubits, %d strings): %s\n"
     (Program.term_count program)
     (Format.asprintf "%a" Report.pp_metrics compiled.Compiler.metrics);
-  Printf.printf "certified by the Pauli-frame verifier: %b\n"
-    (Ph_verify.Pauli_frame.verify_ft compiled.Compiler.circuit
-       ~trace:compiled.Compiler.rotations)
+  Printf.printf "certified by the Pauli-frame verifier: %b\n" (Compiler.verified compiled)

@@ -14,21 +14,20 @@ type output = {
   trace : Report.trace;
   certificate : Ph_analysis.Certificate.t;
   opt_program : Program.t option;
+  verdict : bool Lazy.t;
 }
 
 let lint_errors o = Ph_lint.Diag.errors o.trace.Report.lint
-
-let verified o =
-  let layouts =
-    match o.initial_layout, o.final_layout with Some i, Some f -> Some (i, f) | _ -> None
-  in
-  Ph_verify.Pauli_frame.verify ?layouts ~trace:o.rotations o.circuit
+let verified o = Lazy.force o.verdict
 
 let schedule_layers config prog =
   let window = config.Config.window in
   let jobs = config.Config.sched_jobs in
   match config.Config.schedule with
-  | Config.Program_order ->
+  | Config.Program_order | Config.Phoenix_like ->
+    (* under Phoenix, [prog] is the post-opt program: [Ph_opt.Pass]
+       already fixed the block order (GCO-sorted within each Clifford
+       frame), so the layers are its blocks verbatim *)
     let layers = List.map Layer.of_block (Program.blocks prog) in
     layers, (List.length layers, 0)
   | Config.Gco ->
@@ -39,12 +38,6 @@ let schedule_layers config prog =
     layers, (stats.Depth_oriented.layers, stats.Depth_oriented.padded)
   | Config.Max_overlap ->
     let layers = Max_overlap.schedule ~window ~jobs prog in
-    layers, (List.length layers, 0)
-  | Config.Phoenix_like ->
-    (* [prog] here is the post-opt program: [Ph_opt.Pass] already fixed
-       the block order (GCO-sorted within each Clifford frame), so the
-       layers are its blocks verbatim *)
-    let layers = List.map Layer.of_block (Program.blocks prog) in
     layers, (List.length layers, 0)
 
 (* [staged f] runs one compile stage: its result, wall time and the
@@ -58,22 +51,71 @@ let staged f =
   let dt = Unix.gettimeofday () -. t0 in
   r, dt, int_of_float (Gc.minor_words () -. w0)
 
-(* Accumulator for the verify-each checkers: when linting is enabled,
-   [run] times one checker and appends its findings in stage order. *)
-type lint_acc = {
-  enabled : bool;
+(* Accumulator for the verify-each checkers: [lint_run] times one
+   checker and appends its findings in stage order; without one (lint
+   off) no checker runs. *)
+type lint = {
   mutable diags : Ph_lint.Diag.t list;
   mutable seconds : float;
   mutable words : int;
 }
 
-let lint_run acc check =
-  if acc.enabled then begin
+let lint_run lint check =
+  match lint with
+  | Some acc ->
     let diags, dt, words = staged check in
     acc.diags <- acc.diags @ diags;
     acc.seconds <- acc.seconds +. dt;
     acc.words <- acc.words + words
-  end
+  | None -> ()
+
+type lowered = {
+  circuit : Circuit.t;
+  metrics : Report.metrics;
+  trace : Report.trace;
+  swap_words : int;
+  peephole_words : int;
+  verdict : bool Lazy.t;
+}
+
+(* The one post-synthesis tail; it builds the verdict lazily, once. *)
+let lower ?lint ?replay ~peephole ~rotations ?layouts synthesized =
+  lint_run lint (fun () -> Ph_lint.Check_gates.circuit synthesized);
+  (match replay, layouts with
+  | Some (coupling, claimed_swaps), Some (initial, final) ->
+    lint_run lint (fun () ->
+        Ph_lint.Check_sc.check ~coupling ~initial ~final ~claimed_swaps synthesized)
+  | _ -> ());
+  let decomposed, swap_decompose_s, swap_words =
+    match layouts with
+    | Some _ -> staged (fun () -> Circuit.decompose_swaps synthesized)
+    | None -> synthesized, 0., 0
+  in
+  let (circuit, pstats), peephole_s, peephole_words =
+    if peephole then staged (fun () -> Peephole.optimize_stats decomposed)
+    else (decomposed, { Peephole.removed = 0; rounds = 0 }), 0., 0
+  in
+  (* stage 4: the final circuit — structural invariants must have
+     survived SWAP decomposition and cleanup, and the Pauli-frame
+     verdict ties the whole pipeline back to the rotation trace *)
+  lint_run lint (fun () -> Ph_lint.Check_gates.circuit ~post_peephole:peephole circuit);
+  let verdict = lazy (Ph_verify.Pauli_frame.verify ?layouts ~trace:rotations circuit) in
+  lint_run lint (fun () -> Ph_lint.Check_frame.check ~rotations verdict);
+  let counters =
+    {
+      Report.empty_counters with
+      Report.peephole_removed = pstats.Peephole.removed;
+      peephole_rounds = pstats.Peephole.rounds;
+    }
+  in
+  {
+    circuit;
+    metrics = Report.of_circuit circuit;
+    trace = { Report.empty_trace with Report.swap_decompose_s; peephole_s; counters };
+    swap_words;
+    peephole_words;
+    verdict;
+  }
 
 let compile config prog =
   (match config.Config.backend, config.Config.schedule with
@@ -100,16 +142,10 @@ let compile config prog =
   | Config.Ft | Config.Ion_trap -> ());
   let perf0 = Ph_perf.Counter.snapshot () in
   let t0 = Unix.gettimeofday () in
-  let acc =
-    {
-      enabled = config.Config.lint <> Ph_lint.Diag.Off;
-      diags = [];
-      seconds = 0.;
-      words = 0;
-    }
-  in
+  let acc = { diags = []; seconds = 0.; words = 0 } in
+  let lint = if config.Config.lint = Ph_lint.Diag.Off then None else Some acc in
   (* stage -1: the configuration itself *)
-  lint_run acc (fun () ->
+  lint_run lint (fun () ->
       let backend_view =
         match config.Config.backend with
         | Config.Ft -> Ph_lint.Check_config.Ft_view
@@ -119,7 +155,7 @@ let compile config prog =
       Ph_lint.Check_config.check ~backend:backend_view
         ~peephole:config.Config.peephole);
   (* stage 0: the input Pauli IR *)
-  lint_run acc (fun () -> Ph_lint.Check_ir.program prog);
+  lint_run lint (fun () -> Ph_lint.Check_ir.program prog);
   (* stage 0.5 (Phoenix only): the high-level IR optimizer — grouping,
      simultaneous diagonalization, fusion.  Everything downstream of
      this point (scheduling, lint, the certificate) sees the rewritten
@@ -136,13 +172,13 @@ let compile config prog =
     match opt with Some o -> o.Ph_opt.Pass.program | None -> prog
   in
   (match opt with
-  | Some o -> lint_run acc (fun () -> Ph_lint.Check_ir.program o.Ph_opt.Pass.program)
+  | Some o -> lint_run lint (fun () -> Ph_lint.Check_ir.program o.Ph_opt.Pass.program)
   | None -> ());
   (* stage 1: block scheduling *)
   let (layers, (sched_layers, sched_padded)), schedule_s, schedule_words =
     staged (fun () -> schedule_layers config sched_program)
   in
-  lint_run acc (fun () -> Ph_lint.Check_schedule.check ~program:sched_program layers);
+  lint_run lint (fun () -> Ph_lint.Check_schedule.check ~program:sched_program layers);
   (* stage 2: backend synthesis (plus hardware replay on SC).  Each
      backend only synthesizes; [layouts] is [Some] exactly when the
      circuit is routed onto a device *)
@@ -170,40 +206,21 @@ let compile config prog =
         (r.circuit, r.rotations, Some (r.initial_layout, r.final_layout), r.swaps), s, words)
     | Config.Ion_trap -> emitted (staged (fun () -> Ion_trap.synthesize ~n_qubits layers))
   in
-  (* stage 3: the generic gate-level tail every backend shares *)
-  lint_run acc (fun () -> Ph_lint.Check_gates.circuit synthesized);
-  (match config.Config.backend, layouts with
-  | Config.Sc { coupling; _ }, Some (initial, final) ->
-    lint_run acc (fun () ->
-        Ph_lint.Check_sc.check ~coupling ~initial ~final ~claimed_swaps:sc_swaps
-          synthesized)
-  | _ -> ());
-  let decomposed, swap_decompose_s, swap_words =
-    match layouts with
-    | Some _ -> staged (fun () -> Circuit.decompose_swaps synthesized)
-    | None -> synthesized, 0., 0
-  in
-  (* ion-trap lowering already interleaves its own cleanup passes, so
-     the generic peephole never runs there (Config.ion_trap defaults
-     [peephole = false], and CFG001 warns when a config claims
-     otherwise) *)
-  let (circuit, pstats), peephole_s, peephole_words =
+  (* stage 3: the shared tail.  The ion-trap lowering interleaves its
+     own cleanup, so the generic peephole never runs there (CFG001
+     warns when a config claims it) *)
+  let replay, peephole =
     match config.Config.backend with
-    | (Config.Ft | Config.Sc _) when config.Config.peephole ->
-      staged (fun () -> Peephole.optimize_stats decomposed)
-    | _ -> (decomposed, { Peephole.removed = 0; rounds = 0 }), 0., 0
+    | Config.Sc { coupling; _ } -> Some (coupling, sc_swaps), config.Config.peephole
+    | Config.Ft -> None, config.Config.peephole
+    | Config.Ion_trap -> None, false
   in
-  (* stage 4: the final circuit — structural invariants must have
-     survived SWAP decomposition and cleanup, and the Pauli-frame
-     spot-check ties the whole pipeline back to the rotation trace *)
-  lint_run acc (fun () ->
-      Ph_lint.Check_gates.circuit ~post_peephole:config.Config.peephole circuit);
-  lint_run acc (fun () -> Ph_lint.Check_frame.check ?layouts ~rotations circuit);
+  let t = lower ?lint ?replay ~peephole ~rotations ?layouts synthesized in
   (* the optimizer is part of the scheduling family's work; its time
      folds into the schedule stage total (the [alloc_opt_words] entry
      keeps its allocation separately attributable) *)
   let schedule_s = opt_s +. schedule_s in
-  let metrics = Report.of_circuit circuit in
+  let metrics = t.metrics in
   (* stage 5 (opt-in): the static analyzer — bounds and gap diagnostics
      run inside the compile window so their work counters land in
      [trace.perf]; findings are appended regardless of the lint level
@@ -240,8 +257,8 @@ let compile config prog =
         "alloc_opt_words", opt_words;
         "alloc_schedule_words", schedule_words;
         "alloc_synthesis_words", synthesis_words;
-        "alloc_swap_words", swap_words;
-        "alloc_peephole_words", peephole_words;
+        "alloc_swap_words", t.swap_words;
+        "alloc_peephole_words", t.peephole_words;
         "alloc_lint_words", acc.words;
       ]
   in
@@ -264,26 +281,24 @@ let compile config prog =
       (List.map (fun l -> l.Layer.blocks) layers)
   in
   {
-    circuit;
+    circuit = t.circuit;
     rotations;
     initial_layout = Option.map fst layouts;
     final_layout = Option.map snd layouts;
     metrics = { metrics with Report.seconds };
     trace =
       {
+        t.trace with
         Report.schedule_s;
         synthesis_s;
-        swap_decompose_s;
-        peephole_s;
         lint_s = acc.seconds;
         counters =
           {
+            t.trace.Report.counters with
             Report.sched_layers;
             sched_padded;
             sched_window = config.Config.window;
             sc_swaps;
-            peephole_removed = pstats.Peephole.removed;
-            peephole_rounds = pstats.Peephole.rounds;
           };
         lint = acc.diags;
         perf;
@@ -291,4 +306,5 @@ let compile config prog =
       };
     certificate;
     opt_program = Option.map (fun (o : Ph_opt.Pass.t) -> o.Ph_opt.Pass.program) opt;
+    verdict = t.verdict;
   }

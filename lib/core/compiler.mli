@@ -32,6 +32,9 @@ type output = {
   opt_program : Program.t option;
       (** the rewritten program when the Phoenix IR optimizer ran
           ([Config.schedule = Phoenix_like]); [None] otherwise *)
+  verdict : bool Lazy.t;
+      (** the compile's one Pauli-frame verdict; read it through
+          {!verified} *)
 }
 
 (** [compile config program].  When [config.lint] is [Warn] or
@@ -48,6 +51,41 @@ val compile : Config.t -> Program.t -> output
 val lint_errors : output -> Ph_lint.Diag.t list
 
 (** Pauli-frame certification of a compile against its own rotation
-    trace: SC outputs against their qubit layouts, FT / ion-trap
-    outputs against the identity residue ({!Ph_verify.Pauli_frame.verify}). *)
+    trace ({!Ph_verify.Pauli_frame.verify}: SC outputs against their
+    layouts, FT / ion-trap outputs under the identity placement).  It
+    forces [verdict], built once by {!lower}: a lint-enabled compile has
+    already forced it, otherwise the first call runs the verifier, and a
+    verifier exception is re-raised on every call.  [Lazy.t] is not
+    domain-safe: only the domain that owns an output may call this, and
+    outputs must never be compared structurally. *)
 val verified : output -> bool
+
+(** A compile's lint accumulator; only {!compile} makes one. *)
+type lint
+
+(** The tail's result: [metrics] has [seconds = 0.], and [trace] sets
+    only the SWAP-decomposition and peephole fields. *)
+type lowered = {
+  circuit : Circuit.t;
+  metrics : Report.metrics;
+  trace : Report.trace;
+  swap_words : int;  (** minor words of SWAP decomposition *)
+  peephole_words : int;
+  verdict : bool Lazy.t;
+}
+
+(** [lower ?lint ?replay ~peephole ~rotations ?layouts c] — the
+    post-synthesis tail of every compile family ({!compile} and the
+    {!Pipelines} baselines): gate checks, the SC replay check when
+    [replay = (device, claimed SWAPs)], SWAP decomposition when
+    [layouts] is given, the peephole when [peephole], the final gate
+    and Pauli-frame checks, metrics, and the lazy verdict against
+    [rotations].  Checks run only under a [lint] accumulator. *)
+val lower :
+  ?lint:lint ->
+  ?replay:Coupling.t * int ->
+  peephole:bool ->
+  rotations:(Pauli_string.t * float) list ->
+  ?layouts:Layout.t * Layout.t ->
+  Circuit.t ->
+  lowered

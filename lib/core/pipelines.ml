@@ -11,6 +11,7 @@ type run = {
   final_layout : Layout.t option;
   metrics : Report.metrics;
   trace : Report.trace;
+  verdict : bool Lazy.t;
 }
 
 let ph config prog =
@@ -22,44 +23,29 @@ let ph config prog =
     final_layout = o.final_layout;
     metrics = o.metrics;
     trace = o.trace;
+    verdict = o.verdict;
   }
 
 (* One baseline run: [synthesize] yields (circuit, rotations, layouts),
-   with layouts exactly when it routed onto a device; then the generic
-   stage — SWAP decomposition on routed circuits, peephole — and a trace
-   whose scheduling fields stay zero. *)
+   with layouts exactly when it routed onto a device; then the shared
+   lowering tail with lint off and the peephole on, and a trace whose
+   scheduling fields stay zero. *)
 let baseline synthesize =
   let run () =
     let (routed, rotations, layouts), synthesis_s = Report.timed synthesize in
-    let decomposed, swap_decompose_s =
-      match layouts with
-      | Some _ -> Report.timed (fun () -> Circuit.decompose_swaps routed)
-      | None -> routed, 0.
-    in
-    let (circuit, pstats), peephole_s =
-      Report.timed (fun () -> Peephole.optimize_stats decomposed)
-    in
-    let counters =
-      {
-        Report.empty_counters with
-        Report.sc_swaps = Circuit.swap_count routed;
-        peephole_removed = pstats.Peephole.removed;
-        peephole_rounds = pstats.Peephole.rounds;
-      }
-    in
-    ( circuit,
-      rotations,
-      layouts,
-      { Report.empty_trace with synthesis_s; swap_decompose_s; peephole_s; counters } )
+    let t = Compiler.lower ~peephole:true ~rotations ?layouts routed in
+    let counters = { t.trace.counters with Report.sc_swaps = Circuit.swap_count routed } in
+    t, rotations, layouts, { t.trace with Report.synthesis_s; counters }
   in
-  let (circuit, rotations, layouts, trace), seconds = Report.timed run in
+  let (t, rotations, layouts, trace), seconds = Report.timed run in
   {
-    circuit;
+    circuit = t.Compiler.circuit;
     rotations;
     initial_layout = Option.map fst layouts;
     final_layout = Option.map snd layouts;
-    metrics = Report.of_circuit ~seconds circuit;
+    metrics = { t.Compiler.metrics with Report.seconds };
     trace;
+    verdict = t.Compiler.verdict;
   }
 
 let ft_stage synthesize prog =
@@ -67,10 +53,10 @@ let ft_stage synthesize prog =
       let (r : Emit.result) = synthesize prog in
       r.circuit, r.rotations, None)
 
-let sc_stage synthesize coupling prog =
+let sc_stage ?initial ?lookahead synthesize coupling prog =
   baseline (fun () ->
       let (r : Emit.result) = synthesize prog in
-      let routed = Router.route ~coupling r.circuit in
+      let routed = Router.route ?initial ?lookahead ~coupling r.circuit in
       ( routed.Router.circuit,
         r.rotations,
         Some (routed.Router.initial_layout, routed.Router.final_layout) ))
@@ -78,7 +64,9 @@ let sc_stage synthesize coupling prog =
 let tk_ft ?strategy prog = ft_stage (Tk_like.compile ?strategy) prog
 let tk_sc ?strategy coupling prog = sc_stage (Tk_like.compile ?strategy) coupling prog
 let naive_ft prog = ft_stage Naive.synthesize prog
-let naive_sc coupling prog = sc_stage Naive.synthesize coupling prog
+
+let naive_sc ?initial ?lookahead coupling prog =
+  sc_stage ?initial ?lookahead Naive.synthesize coupling prog
 
 let qaoa_sc coupling prog =
   baseline (fun () ->
@@ -87,8 +75,4 @@ let qaoa_sc coupling prog =
         r.Qaoa_compiler.rotations,
         Some (r.Qaoa_compiler.initial_layout, r.Qaoa_compiler.final_layout) ))
 
-let verified run =
-  let layouts =
-    match run.initial_layout, run.final_layout with Some i, Some f -> Some (i, f) | _ -> None
-  in
-  Ph_verify.Pauli_frame.verify ?layouts ~trace:run.rotations run.circuit
+let verified run = Lazy.force run.verdict

@@ -18,6 +18,7 @@ type run = {
   trace : Report.trace;
       (** per-stage timings and pass counters; baseline pipelines fill
           the synthesis/peephole stages and leave scheduling at zero *)
+  verdict : bool Lazy.t;  (** built by {!Compiler.lower}; see {!verified} *)
 }
 
 (** Paulihedral under one configuration ([Compiler.compile]): the
@@ -39,14 +40,18 @@ val tk_sc : ?strategy:[ `Pairwise | `Sets ] -> Coupling.t -> Program.t -> run
 (** Naive per-term synthesis, FT (the Table 1 reference). *)
 val naive_ft : Program.t -> run
 
-(** Naive + generic router on an SC device. *)
-val naive_sc : Coupling.t -> Program.t -> run
+(** Naive + generic router on an SC device, with the router's
+    [initial]/[lookahead] options. *)
+val naive_sc :
+  ?initial:[ `Identity | `Most_connected ] ->
+  ?lookahead:int ->
+  Coupling.t ->
+  Program.t ->
+  run
 
 (** Algorithm-specific QAOA compiler on an SC device (Table 3). *)
 val qaoa_sc : Coupling.t -> Program.t -> run
 
-(** Verify a run against its rotation trace with the scalable
-    Pauli-frame checker (FT: identity residue; SC: layout-consistent
-    permutation).  Requires the run's circuit to still be
-    Clifford+Rz. *)
+(** The run's Pauli-frame verdict, as {!Compiler.verified}: FT runs
+    under the identity placement, SC runs against their layouts. *)
 val verified : run -> bool

@@ -38,7 +38,6 @@ val info : code:string -> location -> string -> t
 val is_error : t -> bool
 val errors : t list -> t list
 val warnings : t list -> t list
-val infos : t list -> t list
 
 (** {1 Lint levels}
 
@@ -53,9 +52,6 @@ val level_of_string : string -> (level, string) result
 val level_to_string : level -> string
 
 (** {1 Formatting and serialization} *)
-
-val severity_to_string : severity -> string
-val location_to_string : location -> string
 
 (** [pp] prints one finding as ["error[GATE002] at gate 7: ..."]. *)
 val pp : Format.formatter -> t -> unit

@@ -103,14 +103,23 @@ let same_clifford a b =
 (* Adjacent groups sharing the same Clifford frame merge into one
    bracket: [C†·D₂·C · C†·D₁·C = C†·D₂D₁·C].  All-diagonal inputs have
    an empty frame, so an Ising/QAOA program collapses into a single
-   group here. *)
-let rec merge_groups = function
-  | a :: b :: rest when same_clifford a.clifford b.clifford ->
-    merge_groups
-      ({ clifford = a.clifford; blocks = a.blocks @ b.blocks; rows = a.rows @ b.rows }
-       :: rest)
-  | a :: rest -> a :: merge_groups rest
-  | [] -> []
+   group here.  Each run's later groups are collected (reversed) behind
+   its first and concatenated once, so the merge is linear. *)
+let merge_groups groups =
+  let close first = function
+    | [] -> first
+    | later_rev ->
+      let run = first :: List.rev later_rev in
+      let cat field = List.concat_map field run in
+      { first with blocks = cat (fun g -> g.blocks); rows = cat (fun g -> g.rows) }
+  in
+  let[@tail_mod_cons] rec go first later_rev = function
+    | g :: rest when same_clifford first.clifford g.clifford ->
+      go first (g :: later_rev) rest
+    | g :: rest -> close first later_rev :: go g [] rest
+    | [] -> [ close first later_rev ]
+  in
+  match groups with [] -> [] | first :: rest -> go first [] rest
 
 (* Sum coefficients of equal strings (first-occurrence order), then
    drop the exact zeros.  Exact because all blocks here are Z/I-only:
@@ -203,14 +212,15 @@ let fuse groups =
 
 (* ---------- driver ---------- *)
 
+let diagonalize prog =
+  let n = Program.n_qubits prog in
+  List.concat_map
+    (fun b -> List.map (diagonalize_class (Block.param b)) (classes_of_block n b))
+    (Program.blocks prog)
+
 let run prog =
   let n = Program.n_qubits prog in
-  let groups =
-    List.concat_map
-      (fun b ->
-        List.map (diagonalize_class (Block.param b)) (classes_of_block n b))
-      (Program.blocks prog)
-  in
+  let groups = diagonalize prog in
   let n_classes = List.length groups in
   let diag_rotations =
     List.fold_left (fun acc g -> acc + Block.term_count (List.hd g.blocks)) 0 groups

@@ -62,6 +62,13 @@ type t = {
   stats : stats;
 }
 
+(** Passes 1 and 2: one group per commuting class, before fusion. *)
+val diagonalize : Program.t -> group list
+
+(** Fusion's first step: each run of adjacent groups with equal frames
+    becomes one group, blocks and rows concatenated in order. *)
+val merge_groups : group list -> group list
+
 (** [run p] — the full pipeline.  Deterministic: equal programs produce
     equal results and equal counter increments, on any domain.  Bumps
     [Ph_perf.Counter.opt_groups]/[opt_diag_rotations]/[opt_fused_blocks]. *)

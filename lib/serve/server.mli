@@ -76,6 +76,3 @@ val install_signal_handlers : t -> unit
     compile-time totals aggregated from every compiled job's
     [Report.trace]. *)
 val stats_json : t -> Ph_json.t
-
-(** One-line human summary of {!stats_json} (for the drain log). *)
-val stats_summary : t -> string

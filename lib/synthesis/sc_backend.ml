@@ -38,7 +38,6 @@ type state = {
   edge_cost : float array; (* [swap_cost] of every arc, by [Coupling.arc] *)
   route_cost : float array; (* [connect_actives]' arc costs this iteration *)
   avoided : bool array; (* positions the current block must not enter *)
-  occupied : bool array;
   all_nodes : int array; (* 0 .. n-1 *)
   nodes : int array; (* positions of a block's actives or a string's holders *)
   comp : int array; (* the root's component, ascending *)
@@ -65,7 +64,6 @@ let create_state coupling noise layout =
     edge_cost = Coupling.arc_costs coupling (swap_cost noise);
     route_cost = Array.make (Coupling.n_arcs coupling) 0.;
     avoided = Array.make n false;
-    occupied = Array.make n false;
     all_nodes = Array.init n Fun.id;
     nodes = Array.make n 0;
     comp = Array.make n 0;
@@ -110,15 +108,17 @@ let sort_prefix a len =
   done
 
 (* [connect_actives]' cost of every arc [u → v] out of [u]: prohibitive
-   at an avoided end, else the SWAP cost plus a soft penalty for
-   displacing another active qubit. *)
+   at an avoided end, else the SWAP cost.  Entering another active
+   qubit's node costs nothing extra: the cheapest moving qubit's route
+   never passes one (that qubit would be cheaper to move), so the
+   penalty the reference form adds (test/sc_backend_ref.ml) never
+   changes a route. *)
 let rec fill_route_costs st u = function
   | [] -> ()
   | v :: rest ->
     let a = Coupling.arc st.coupling u v in
     st.route_cost.(a) <-
-      (if st.avoided.(v) || st.avoided.(u) then 1e12
-       else st.edge_cost.(a) +. if st.occupied.(v) then 10. else 0.);
+      (if st.avoided.(v) || st.avoided.(u) then 1e12 else st.edge_cost.(a));
     fill_route_costs st u rest
 
 let log_swap st u v =
@@ -148,15 +148,11 @@ let route_step st k rc =
     if Coupling.component sc p = rc then begin
       st.comp.(!n_comp) <- p;
       incr n_comp
-    end;
-    st.occupied.(p) <- true
+    end
   done;
   sort_prefix st.comp !n_comp;
   for u = 0 to Coupling.n_qubits g - 1 do
     fill_route_costs st u (Coupling.neighbors g u)
-  done;
-  for i = 0 to k - 1 do
-    st.occupied.(st.nodes.(i)) <- false
   done;
   let best = ref infinity and len = ref 0 in
   for i = 0 to k - 1 do

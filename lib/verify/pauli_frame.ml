@@ -243,15 +243,6 @@ let extract circuit =
 let single_support s =
   match Pauli_string.support s with [ q ] -> Some q | _ -> None
 
-let residue_is_identity r =
-  (* D(row) = i^0 · op_q exactly: weight 1 at q with the right operator
-     (no per-row reference string to allocate and compare). *)
-  let ok_row op q (s, k) =
-    k = 0 && Pauli_string.weight s = 1 && Pauli.equal (Pauli_string.get s q) op
-  in
-  Array.for_all Fun.id (Array.mapi (fun q row -> ok_row Pauli.Z q row) r.z_images)
-  && Array.for_all Fun.id (Array.mapi (fun q row -> ok_row Pauli.X q row) r.x_images)
-
 let residue_permutation r =
   let n = Array.length r.z_images in
   let perm = Array.make n (-1) in
@@ -323,59 +314,61 @@ let normalize rotations =
   List.rev_map (fun (p, angle) -> p, !angle) !out
   |> List.filter (fun (_, theta) -> not (zero_angle theta))
 
-let verify_ft circuit ~trace =
-  let rotations, residue = extract circuit in
-  let rotations = normalize rotations and trace = normalize trace in
-  residue_is_identity residue
-  && List.length rotations = List.length trace
-  && List.for_all2 same_rotation rotations trace
-
-let verify_sc ~circuit ~trace ~initial ~final =
+(* The logical string's planes scattered through [initial] onto
+   [n_phys] qubits, bit by bit of its support, ascending. *)
+let embed ~n_phys initial logical =
   let open Ph_hardware in
-  let n_phys = Circuit.n_qubits circuit in
   let phys_words = Bits.words_for n_phys in
-  (* The logical string's planes scattered through [initial], bit by
-     bit of its support, ascending. *)
-  let embed logical =
-    let x = Array.make phys_words 0 and z = Array.make phys_words 0 in
-    for w = 0 to Bits.words_for (Pauli_string.n_qubits logical) - 1 do
-      let lx = Pauli_string.x_word logical w and lz = Pauli_string.z_word logical w in
-      let base = w * Bits.word_bits in
-      Bits.iter_bits base (lx lor lz) (fun q ->
-          let p = Layout.phys initial q in
-          if p < 0 || p >= n_phys then
-            invalid_arg (Printf.sprintf "Pauli_string.of_support: qubit %d" p);
-          let b = q - base and pw = Bits.word_of p and pb = Bits.bit_of p in
-          x.(pw) <- x.(pw) lor (((lx lsr b) land 1) lsl pb);
-          z.(pw) <- z.(pw) lor (((lz lsr b) land 1) lsl pb))
-    done;
-    Pauli_string.of_planes n_phys x z 0
-  in
+  let x = Array.make phys_words 0 and z = Array.make phys_words 0 in
+  for w = 0 to Bits.words_for (Pauli_string.n_qubits logical) - 1 do
+    let lx = Pauli_string.x_word logical w and lz = Pauli_string.z_word logical w in
+    let base = w * Bits.word_bits in
+    Bits.iter_bits base (lx lor lz) (fun q ->
+        let p = Layout.phys initial q in
+        if p < 0 || p >= n_phys then
+          invalid_arg (Printf.sprintf "Pauli_string.of_support: qubit %d" p);
+        let b = q - base and pw = Bits.word_of p and pb = Bits.bit_of p in
+        x.(pw) <- x.(pw) lor (((lx lsr b) land 1) lsl pb);
+        z.(pw) <- z.(pw) lor (((lz lsr b) land 1) lsl pb))
+  done;
+  Pauli_string.of_planes n_phys x z 0
+
+(* One check for every backend: logical qubit [q] moves from physical
+   [initial q] to [final q], the identity without [layouts] (FT,
+   ion-trap), where the trace needs no embedding. *)
+let verify ?layouts ~trace circuit =
+  let n_phys = Circuit.n_qubits circuit in
   let rotations, residue = extract circuit in
   let rotations = normalize rotations in
-  let trace =
-    normalize (List.map (fun (logical, theta) -> embed logical, theta) trace)
+  let trace, n_logical, initial, final =
+    match layouts with
+    | None -> trace, n_phys, Fun.id, Fun.id
+    | Some (initial, final) ->
+      let open Ph_hardware in
+      ( List.map (fun (logical, theta) -> embed ~n_phys initial logical, theta) trace,
+        Layout.n_logical initial,
+        Layout.phys initial,
+        Layout.phys final )
   in
+  let trace = normalize trace in
   List.length rotations = List.length trace
   && List.for_all2 same_rotation rotations trace
   &&
   match residue_permutation residue with
   | None -> false
   | Some perm ->
-    let n_logical = Layout.n_logical initial in
     let rec check q =
       q >= n_logical
-      || (let p0 = Layout.phys initial q in
-          let p1 = Layout.phys final q in
+      || (let p1 = final q in
           (* Row p1 is D(X_{p1}): a negative sign there means a stray Z
              lands on the data's final position.  Only |0⟩ ancillas may
              absorb a stray Z. *)
           let _, xk = residue.x_images.(p1) in
-          perm.(p0) = p1 && xk = 0 && check (q + 1))
+          perm.(initial q) = p1 && xk = 0 && check (q + 1))
     in
     check 0
 
-let verify ?layouts ~trace circuit =
-  match layouts with
-  | Some (initial, final) -> verify_sc ~circuit ~trace ~initial ~final
-  | None -> verify_ft circuit ~trace
+let verify_ft circuit ~trace = verify ~trace circuit
+
+let verify_sc ~circuit ~trace ~initial ~final =
+  verify ~layouts:(initial, final) ~trace circuit

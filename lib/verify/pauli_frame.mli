@@ -34,8 +34,6 @@ type residue = {
     @raise Invalid_argument on any other gate. *)
 val extract : Circuit.t -> (Pauli_string.t * float) list * residue
 
-val residue_is_identity : residue -> bool
-
 (** [residue_permutation r] — when the residue is a pure qubit
     permutation (up to harmless phases on [X] images), the array [perm]
     with [D(Z_q) = Z_perm(q)]; [None] otherwise. *)
@@ -47,27 +45,31 @@ val residue_permutation : residue -> int array option
     ~zero angles are dropped. *)
 val normalize : (Pauli_string.t * float) list -> (Pauli_string.t * float) list
 
-(** FT-backend check: extracted rotations equal [trace] exactly and the
-    residue is the identity. *)
+(** [verify ?layouts ~trace circuit] — the one Pauli-frame check: the
+    extracted rotations must equal [trace] after {!normalize}, and the
+    residue must move each logical qubit from its initial to its final
+    position, with no stray [Z] there.  With [layouts = (initial,
+    final)] (a routed SC compile) the logical trace is embedded through
+    [initial] first; without them (FT, ion-trap) the placement is the
+    identity on every circuit qubit, so the residue must be the
+    identity.
+    @raise Invalid_argument as {!extract}, or when [initial] places a
+    traced qubit off the circuit. *)
+val verify :
+  ?layouts:Ph_hardware.Layout.t * Ph_hardware.Layout.t ->
+  trace:(Pauli_string.t * float) list ->
+  Circuit.t ->
+  bool
+
+(** [verify_ft c ~trace] is [verify ~trace c], and [verify_sc] is
+    [verify ~layouts:(initial, final)].  Both remain only because the
+    benchmark harness ([perfbench/compile_path.ml]) calls them and that
+    directory changes only with the benchmark; use {!verify}. *)
 val verify_ft : Circuit.t -> trace:(Pauli_string.t * float) list -> bool
 
-(** SC-backend check: every extracted physical rotation equals the
-    corresponding logical trace entry embedded through [initial] (routing
-    conjugates each rotation back to the initial frame), and the residue
-    is a permutation sending each logical qubit's initial position to its
-    [final] position. *)
 val verify_sc :
   circuit:Circuit.t ->
   trace:(Pauli_string.t * float) list ->
   initial:Ph_hardware.Layout.t ->
   final:Ph_hardware.Layout.t ->
-  bool
-
-(** [verify ?layouts ~trace circuit] — {!verify_sc} when
-    [layouts = (initial, final)] is given (a routed SC compile),
-    {!verify_ft} otherwise (FT and ion-trap compiles). *)
-val verify :
-  ?layouts:Ph_hardware.Layout.t * Ph_hardware.Layout.t ->
-  trace:(Pauli_string.t * float) list ->
-  Circuit.t ->
   bool

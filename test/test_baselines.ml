@@ -311,7 +311,7 @@ let test_tk_compile_correct () =
     program_of_strings 3 [ "ZZI", 1.0; "IZZ", 0.5; "XXI", 0.3; "YIY", 0.7 ]
   in
   let r = Tk_like.compile prog in
-  check "pauli-frame verified" true (Pauli_frame.verify_ft r.circuit ~trace:r.rotations);
+  check "pauli-frame verified" true (Pauli_frame.verify r.circuit ~trace:r.rotations);
   check "dense verified" true (Unitary_check.circuit_implements r.circuit r.rotations)
 
 let prop_tk_correct =
@@ -330,7 +330,7 @@ let prop_tk_correct =
     (fun terms ->
       let prog = program_of_strings 3 (List.map (fun (s, w) -> Pauli_string.to_string s, w +. 0.1) terms) in
       let r = Tk_like.compile prog in
-      Pauli_frame.verify_ft r.circuit ~trace:r.rotations
+      Pauli_frame.verify r.circuit ~trace:r.rotations
       && Unitary_check.circuit_implements r.circuit r.rotations)
 
 let test_tk_ising_overhead () =
@@ -345,7 +345,7 @@ let test_tk_ising_overhead () =
   let sets = Tk_like.partition prog in
   check_int "single commuting set" 1 (List.length sets);
   let r = Tk_like.compile prog in
-  check "correct" true (Pauli_frame.verify_ft r.circuit ~trace:r.rotations)
+  check "correct" true (Pauli_frame.verify r.circuit ~trace:r.rotations)
 
 (* --- Router --- *)
 
@@ -371,8 +371,8 @@ let test_router_preserves_semantics () =
   let lowered = Ph_synthesis.Naive.synthesize prog in
   let r = Router.route ~coupling lowered.circuit in
   check "routed circuit equivalent" true
-    (Pauli_frame.verify_sc ~circuit:r.circuit ~trace:lowered.rotations
-       ~initial:r.initial_layout ~final:r.final_layout)
+    (Pauli_frame.verify r.circuit ~trace:lowered.rotations
+       ~layouts:(r.initial_layout, r.final_layout))
 
 let prop_router_correct =
   let gen =
@@ -394,8 +394,8 @@ let prop_router_correct =
       in
       let lowered = Ph_synthesis.Naive.synthesize prog in
       let r = Router.route ~coupling:(Devices.grid 2 2) lowered.circuit in
-      Pauli_frame.verify_sc ~circuit:r.circuit ~trace:lowered.rotations
-        ~initial:r.initial_layout ~final:r.final_layout
+      Pauli_frame.verify r.circuit ~trace:lowered.rotations
+        ~layouts:(r.initial_layout, r.final_layout)
       && Array.for_all
            (fun g ->
              match g with
@@ -416,8 +416,8 @@ let test_qaoa_compiler_correct () =
   let r = Qaoa_compiler.compile ~coupling maxcut_prog in
   check_int "all terms lowered" 4 (List.length r.rotations);
   check "verified" true
-    (Pauli_frame.verify_sc ~circuit:r.circuit ~trace:r.rotations
-       ~initial:r.initial_layout ~final:r.final_layout);
+    (Pauli_frame.verify r.circuit ~trace:r.rotations
+       ~layouts:(r.initial_layout, r.final_layout));
   Array.iter
     (fun g ->
       match g with
@@ -440,8 +440,8 @@ let test_qaoa_compiler_singles () =
   let r = Qaoa_compiler.compile ~coupling:(Devices.line 3) prog in
   check_int "both lowered" 2 (List.length r.rotations);
   check "verified" true
-    (Pauli_frame.verify_sc ~circuit:r.circuit ~trace:r.rotations
-       ~initial:r.initial_layout ~final:r.final_layout)
+    (Pauli_frame.verify r.circuit ~trace:r.rotations
+       ~layouts:(r.initial_layout, r.final_layout))
 
 let () =
   Alcotest.run "baselines"

@@ -135,7 +135,7 @@ let test_compile_ft () =
   check_int "all rotations" 4 (List.length out.Compiler.rotations);
   check "no layouts on FT" true (out.Compiler.initial_layout = None);
   check "verified" true
-    (Ph_verify.Pauli_frame.verify_ft out.Compiler.circuit ~trace:out.Compiler.rotations)
+    (Ph_verify.Pauli_frame.verify out.Compiler.circuit ~trace:out.Compiler.rotations)
 
 let test_compile_sc () =
   let out = Compiler.compile (Config.sc (Devices.line 5)) sample_program in
@@ -145,10 +145,10 @@ let test_compile_sc () =
        (function Gate.Swap _ -> false | _ -> true)
        (Circuit.gates out.Compiler.circuit));
   check "verified" true
-    (Ph_verify.Pauli_frame.verify_sc ~circuit:out.Compiler.circuit
+    (Ph_verify.Pauli_frame.verify out.Compiler.circuit
        ~trace:out.Compiler.rotations
-       ~initial:(Option.get out.Compiler.initial_layout)
-       ~final:(Option.get out.Compiler.final_layout))
+       ~layouts:
+         (Option.get out.Compiler.initial_layout, Option.get out.Compiler.final_layout))
 
 let test_compile_schedules_differ () =
   let compile schedule = Compiler.compile (Config.ft ~schedule ()) sample_program in
@@ -158,7 +158,7 @@ let test_compile_schedules_differ () =
   check "all verified" true
     (List.for_all
        (fun (o : Compiler.output) ->
-         Ph_verify.Pauli_frame.verify_ft o.circuit ~trace:o.rotations)
+         Ph_verify.Pauli_frame.verify o.circuit ~trace:o.rotations)
        [ gco; dord; po ])
 
 let test_peephole_toggle () =

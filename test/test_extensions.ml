@@ -194,7 +194,7 @@ let test_cnot_ms_decomposition () =
 let test_rxx_extraction () =
   let c = Circuit.of_gates 2 [ Gate.Rxx (0.7, 0, 1) ] in
   check "native rotation extracted" true
-    (Ph_verify.Pauli_frame.verify_ft c ~trace:[ Pauli_string.of_string "XX", 0.7 ])
+    (Ph_verify.Pauli_frame.verify c ~trace:[ Pauli_string.of_string "XX", 0.7 ])
 
 let test_rxx_clifford_frame_matches_dense () =
   (* Rxx(π/2) conjugation rules in the tableau must agree with the dense
@@ -204,8 +204,8 @@ let test_rxx_clifford_frame_matches_dense () =
       let c =
         Circuit.of_gates 2 [ Gate.Rxx (pre, 0, 1); Gate.Rz (0.4, 0); Gate.Rxx (post, 0, 1) ]
       in
-      let rotations, residue = Ph_verify.Pauli_frame.extract c in
-      check "identity residue" true (Ph_verify.Pauli_frame.residue_is_identity residue);
+      let rotations, _ = Ph_verify.Pauli_frame.extract c in
+      check "identity residue" true (Ph_verify.Pauli_frame.verify c ~trace:rotations);
       check "matches dense" true
         (Ph_verify.Unitary_check.circuit_implements c rotations))
     [ half, -.half; -.half, half ]
@@ -277,7 +277,7 @@ let test_compile_max_overlap () =
   in
   let out = Compiler.compile (Config.ft ~schedule:Config.Max_overlap ()) prog in
   check "verified" true
-    (Ph_verify.Pauli_frame.verify_ft out.Compiler.circuit ~trace:out.Compiler.rotations)
+    (Ph_verify.Pauli_frame.verify out.Compiler.circuit ~trace:out.Compiler.rotations)
 
 let () =
   Alcotest.run "extensions"

@@ -35,11 +35,11 @@ let mutate_replace i g c =
   Circuit.of_gates (Circuit.n_qubits c) (Array.to_list gates)
 
 let rejects name circuit =
-  check name false (Pauli_frame.verify_ft circuit ~trace:compiled.Emit.rotations)
+  check name false (Pauli_frame.verify circuit ~trace:compiled.Emit.rotations)
 
 let test_accepts_unmutated () =
   check "sanity: unmutated accepted" true
-    (Pauli_frame.verify_ft compiled.Emit.circuit ~trace:compiled.Emit.rotations)
+    (Pauli_frame.verify compiled.Emit.circuit ~trace:compiled.Emit.rotations)
 
 let test_dropped_cnot_rejected () =
   let gates = Circuit.gates compiled.Emit.circuit in
@@ -96,9 +96,9 @@ let test_wrong_trace_rejected () =
       (fun i (p, t) -> if i = 1 then Pauli_string.of_string "ZZZZ", t else p, t)
       compiled.Emit.rotations
   in
-  check "wrong string" false (Pauli_frame.verify_ft compiled.Emit.circuit ~trace:wrong_string);
+  check "wrong string" false (Pauli_frame.verify compiled.Emit.circuit ~trace:wrong_string);
   let missing = List.tl compiled.Emit.rotations in
-  check "missing rotation" false (Pauli_frame.verify_ft compiled.Emit.circuit ~trace:missing)
+  check "missing rotation" false (Pauli_frame.verify compiled.Emit.circuit ~trace:missing)
 
 let test_noncommuting_reorder_rejected () =
   (* ZZXI and IZZY anticommute: swapping them in the trace is NOT
@@ -111,14 +111,14 @@ let test_noncommuting_reorder_rejected () =
     | l -> l
   in
   check "non-commuting reorder" false
-    (Pauli_frame.verify_ft compiled.Emit.circuit ~trace:swapped)
+    (Pauli_frame.verify compiled.Emit.circuit ~trace:swapped)
 
 let test_commuting_merge_accepted () =
   (* The trace contains ZZXI twice (weights 1.0 and 0.2): after peephole
      the two rotations may merge — normalization must accept that. *)
   let optimized = Peephole.optimize compiled.Emit.circuit in
   check "peepholed circuit still accepted" true
-    (Pauli_frame.verify_ft optimized ~trace:compiled.Emit.rotations)
+    (Pauli_frame.verify optimized ~trace:compiled.Emit.rotations)
 
 (* --- SC-side injections --- *)
 
@@ -126,28 +126,29 @@ let sc_result =
   let layers = Ph_schedule.Depth_oriented.schedule sample in
   Sc_backend.synthesize ~coupling:(Devices.line 4) ~n_qubits:4 layers
 
+let sc_layouts = sc_result.Sc_backend.initial_layout, sc_result.Sc_backend.final_layout
+
 let test_sc_sanity () =
   check "sanity: SC unmutated accepted" true
-    (Pauli_frame.verify_sc ~circuit:sc_result.Sc_backend.circuit
+    (Pauli_frame.verify sc_result.Sc_backend.circuit
        ~trace:sc_result.Sc_backend.rotations
-       ~initial:sc_result.Sc_backend.initial_layout
-       ~final:sc_result.Sc_backend.final_layout)
+       ~layouts:sc_layouts)
 
 let test_sc_wrong_final_layout_rejected () =
   let scrambled = Layout.copy sc_result.Sc_backend.final_layout in
   Layout.swap_physical scrambled 0 3;
   check "scrambled final layout" false
-    (Pauli_frame.verify_sc ~circuit:sc_result.Sc_backend.circuit
+    (Pauli_frame.verify sc_result.Sc_backend.circuit
        ~trace:sc_result.Sc_backend.rotations
-       ~initial:sc_result.Sc_backend.initial_layout ~final:scrambled)
+       ~layouts:(sc_result.Sc_backend.initial_layout, scrambled))
 
 let test_sc_wrong_initial_layout_rejected () =
   let scrambled = Layout.copy sc_result.Sc_backend.initial_layout in
   Layout.swap_physical scrambled 1 2;
   check "scrambled initial layout" false
-    (Pauli_frame.verify_sc ~circuit:sc_result.Sc_backend.circuit
-       ~trace:sc_result.Sc_backend.rotations ~initial:scrambled
-       ~final:sc_result.Sc_backend.final_layout)
+    (Pauli_frame.verify sc_result.Sc_backend.circuit
+       ~trace:sc_result.Sc_backend.rotations
+       ~layouts:(scrambled, sc_result.Sc_backend.final_layout))
 
 let test_sc_dropped_swap_rejected () =
   let gates = Circuit.gates sc_result.Sc_backend.circuit in
@@ -161,10 +162,9 @@ let test_sc_dropped_swap_rejected () =
           Circuit.of_gates 4 (List.filteri (fun j _ -> j <> i) (Array.to_list gates))
         in
         check "dropped swap" false
-          (Pauli_frame.verify_sc ~circuit:mutated
+          (Pauli_frame.verify mutated
              ~trace:sc_result.Sc_backend.rotations
-             ~initial:sc_result.Sc_backend.initial_layout
-             ~final:sc_result.Sc_backend.final_layout)
+             ~layouts:sc_layouts)
       | _ -> ())
     gates;
   check "a swap existed to drop" true !found
@@ -204,7 +204,7 @@ let prop_random_mutation_rejected =
         else begin
           let mutated = mutate_replace i replacement r.Emit.circuit in
           let frame_ok =
-            try Pauli_frame.verify_ft mutated ~trace:r.Emit.rotations
+            try Pauli_frame.verify mutated ~trace:r.Emit.rotations
             with Invalid_argument _ -> false
           in
           let dense_ok = Ph_verify.Unitary_check.circuit_implements mutated r.Emit.rotations in

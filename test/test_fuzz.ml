@@ -105,7 +105,12 @@ let buggy_ft =
       (fun prog ->
         let run = Pipelines.ph (Config.ft ()) prog in
         match flip_first_cnot run.Pipelines.circuit with
-        | Some circuit -> { run with Pipelines.circuit }
+        | Some circuit ->
+          (* a new circuit needs its own verdict *)
+          let verdict =
+            lazy (Ph_verify.Pauli_frame.verify ~trace:run.Pipelines.rotations circuit)
+          in
+          { run with Pipelines.circuit; verdict }
         | None -> run);
   }
 

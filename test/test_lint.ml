@@ -143,8 +143,7 @@ let triggers : (string * (unit -> Diag.t list)) list =
           (Circuit.of_gates 3 [ Gate.Swap (0, 1) ]) );
     ( "VER001",
       fun () ->
-        Check_frame.check ~rotations:[ Pauli_string.of_string "X", 0.7 ] (Circuit.empty 1)
-    );
+        Check_frame.check ~rotations:[ Pauli_string.of_string "X", 0.7 ] (lazy false) );
     ( "CFG001",
       fun () -> Check_config.check ~backend:Check_config.Ion_trap_view ~peephole:true );
     ( "CFG002",

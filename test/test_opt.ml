@@ -139,6 +139,47 @@ let prop_opt_invariants =
       check_pass_invariants p o;
       true)
 
+(* --- merge_groups vs its quadratic reference form --- *)
+
+(* The pass's original statement of the merge, kept as the oracle: it
+   re-appends the merged prefix at every step. *)
+let rec merge_groups_ref = function
+  | (a : Pass.group) :: b :: rest
+    when List.compare_lengths a.clifford b.clifford = 0
+         && List.for_all2 Ph_gatelevel.Gate.equal a.clifford b.clifford ->
+    merge_groups_ref
+      ({ Pass.clifford = a.clifford; blocks = a.blocks @ b.blocks; rows = a.rows @ b.rows }
+       :: rest)
+  | a :: rest -> a :: merge_groups_ref rest
+  | [] -> []
+
+let check_merge name prog =
+  let groups = Pass.diagonalize prog in
+  let merged = Pass.merge_groups groups in
+  check (name ^ ": merged groups equal the reference") true
+    (merged = merge_groups_ref groups)
+
+let test_merge_groups_table2 () =
+  List.iter
+    (fun (b : Ph_benchmarks.Suite.t) -> check_merge b.Ph_benchmarks.Suite.name (b.generate ()))
+    (Ph_benchmarks.Suite.all ())
+
+let test_merge_groups_all_diagonal () =
+  (* 8,000 single-ZZ blocks share the empty frame: one run, one group *)
+  let st = Random.State.make [| 8000 |] in
+  let zz () =
+    let a = Random.State.int st 64 in
+    let b = (a + 1 + Random.State.int st 63) mod 64 in
+    Pauli_string.of_support 64 [ a, Pauli.Z; b, Pauli.Z ]
+  in
+  let prog =
+    prog 64
+      (List.init 8000 (fun _ ->
+           Block.make [ Pauli_term.make (zz ()) 0.5 ] (Block.fixed (Random.State.float st 1.))))
+  in
+  check_int "one group" 1 (List.length (Pass.merge_groups (Pass.diagonalize prog)));
+  check_merge "all-diagonal 8000" prog
+
 let () =
   Alcotest.run "opt"
     [
@@ -154,6 +195,12 @@ let () =
             test_aliased_terms_kept;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           qcheck prop_opt_invariants;
+        ] );
+      ( "merge_groups",
+        [
+          Alcotest.test_case "table-2 programs vs reference" `Quick test_merge_groups_table2;
+          Alcotest.test_case "all-diagonal 8000 blocks vs reference" `Quick
+            test_merge_groups_all_diagonal;
         ] );
       ( "semantics",
         [

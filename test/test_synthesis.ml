@@ -77,7 +77,7 @@ let prop_naive_correct =
     (fun prog ->
       let r = Naive.synthesize prog in
       Unitary_check.circuit_implements r.circuit r.rotations
-      && Pauli_frame.verify_ft r.circuit ~trace:r.rotations)
+      && Pauli_frame.verify r.circuit ~trace:r.rotations)
 
 (* --- FT backend --- *)
 
@@ -133,7 +133,7 @@ let prop_ft_correct_gco =
       let r = ft_compile ~schedule:`Gco prog in
       let optimized = Peephole.optimize r.circuit in
       Unitary_check.circuit_implements optimized r.rotations
-      && Pauli_frame.verify_ft r.circuit ~trace:r.rotations)
+      && Pauli_frame.verify r.circuit ~trace:r.rotations)
 
 let prop_ft_correct_do =
   QCheck.Test.make ~name:"FT backend correct under DO scheduling" ~count:40
@@ -188,8 +188,8 @@ let test_sc_correct_line () =
     (Unitary_check.sc_circuit_implements ~circuit:r.circuit ~rotations:r.rotations
        ~initial:r.initial_layout ~final:r.final_layout);
   check "pauli-frame equivalence" true
-    (Pauli_frame.verify_sc ~circuit:r.circuit ~trace:r.rotations
-       ~initial:r.initial_layout ~final:r.final_layout)
+    (Pauli_frame.verify r.circuit ~trace:r.rotations
+       ~layouts:(r.initial_layout, r.final_layout))
 
 let prop_sc_correct =
   QCheck.Test.make ~name:"SC backend correct on a 2x2 grid" ~count:30
@@ -197,8 +197,8 @@ let prop_sc_correct =
     (fun prog ->
       let coupling = Devices.grid 2 2 in
       let r = sc_compile ~coupling prog in
-      Pauli_frame.verify_sc ~circuit:r.circuit ~trace:r.rotations
-        ~initial:r.initial_layout ~final:r.final_layout
+      Pauli_frame.verify r.circuit ~trace:r.rotations
+        ~layouts:(r.initial_layout, r.final_layout)
       && Unitary_check.sc_circuit_implements ~circuit:r.circuit ~rotations:r.rotations
            ~initial:r.initial_layout ~final:r.final_layout)
 
@@ -237,8 +237,8 @@ let test_sc_parallel_small_blocks () =
   let layers = Depth_oriented.schedule prog in
   let r = Sc_backend.synthesize ~coupling ~n_qubits:8 layers in
   check "verified" true
-    (Pauli_frame.verify_sc ~circuit:r.circuit ~trace:r.rotations
-       ~initial:r.initial_layout ~final:r.final_layout);
+    (Pauli_frame.verify r.circuit ~trace:r.rotations
+       ~layouts:(r.initial_layout, r.final_layout));
   let c = Circuit.decompose_swaps r.circuit in
   check
     (Printf.sprintf "depth %d < serial total %d" (Circuit.depth c) (Circuit.total_count c))
@@ -252,8 +252,8 @@ let test_sc_scale_manhattan () =
   let layers = Depth_oriented.schedule prog in
   let r = Sc_backend.synthesize ~coupling:Devices.manhattan ~n_qubits:20 layers in
   check "verified at scale" true
-    (Pauli_frame.verify_sc ~circuit:r.circuit ~trace:r.rotations
-       ~initial:r.initial_layout ~final:r.final_layout)
+    (Pauli_frame.verify r.circuit ~trace:r.rotations
+       ~layouts:(r.initial_layout, r.final_layout))
 
 let test_sc_swap_counter () =
   (* The telemetry counter must equal the SWAPs actually present in the
@@ -420,8 +420,8 @@ let sc_compiles_and_verifies ~coupling name prog =
          | _ -> true)
        (Circuit.gates r.circuit));
   check (name ^ " verifies") true
-    (Pauli_frame.verify_sc ~circuit:r.circuit ~trace:r.rotations
-       ~initial:r.initial_layout ~final:r.final_layout);
+    (Pauli_frame.verify r.circuit ~trace:r.rotations
+       ~layouts:(r.initial_layout, r.final_layout));
   layers
 
 let reference_raises ~coupling prog layers =

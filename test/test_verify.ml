@@ -12,8 +12,8 @@ let str = Pauli_string.of_string
 
 let test_extract_plain_rz () =
   let c = Circuit.of_gates 2 [ Gate.Rz (0.3, 1) ] in
-  let rots, residue = Pauli_frame.extract c in
-  check "identity residue" true (Pauli_frame.residue_is_identity residue);
+  let rots, _ = Pauli_frame.extract c in
+  check "identity residue" true (Pauli_frame.verify c ~trace:rots);
   match rots with
   | [ (p, theta) ] ->
     Alcotest.(check string) "Z on q1" "ZI" (Pauli_string.to_string p);
@@ -23,8 +23,8 @@ let test_extract_plain_rz () =
 let test_extract_conjugated () =
   (* H q0; Rz q0; H q0  ==  exp(-iθ/2 X0) *)
   let c = Circuit.of_gates 1 [ Gate.H 0; Gate.Rz (0.4, 0); Gate.H 0 ] in
-  let rots, residue = Pauli_frame.extract c in
-  check "identity residue" true (Pauli_frame.residue_is_identity residue);
+  let rots, _ = Pauli_frame.extract c in
+  check "identity residue" true (Pauli_frame.verify c ~trace:rots);
   (match rots with
   | [ (p, _) ] -> Alcotest.(check string) "X rotation" "X" (Pauli_string.to_string p)
   | _ -> Alcotest.fail "one rotation");
@@ -32,8 +32,8 @@ let test_extract_conjugated () =
   let c =
     Circuit.of_gates 2 [ Gate.Cnot (0, 1); Gate.Rz (0.4, 1); Gate.Cnot (0, 1) ]
   in
-  let rots, residue = Pauli_frame.extract c in
-  check "identity residue" true (Pauli_frame.residue_is_identity residue);
+  let rots, _ = Pauli_frame.extract c in
+  check "identity residue" true (Pauli_frame.verify c ~trace:rots);
   match rots with
   | [ (p, _) ] -> Alcotest.(check string) "ZZ rotation" "ZZ" (Pauli_string.to_string p)
   | _ -> Alcotest.fail "one rotation"
@@ -52,8 +52,8 @@ let test_extract_y_basis () =
   (* Rx(π/2); Rz; Rx(−π/2) == exp(-iθ/2 Y) *)
   let h = Float.pi /. 2. in
   let c = Circuit.of_gates 1 [ Gate.Rx (h, 0); Gate.Rz (0.4, 0); Gate.Rx (-.h, 0) ] in
-  let rots, residue = Pauli_frame.extract c in
-  check "identity residue" true (Pauli_frame.residue_is_identity residue);
+  let rots, _ = Pauli_frame.extract c in
+  check "identity residue" true (Pauli_frame.verify c ~trace:rots);
   match rots with
   | [ (p, theta) ] ->
     Alcotest.(check string) "Y rotation" "Y" (Pauli_string.to_string p);
@@ -87,8 +87,8 @@ let test_extract_matches_dense () =
   in
   List.iter
     (fun c ->
-      let rots, residue = Pauli_frame.extract c in
-      if Pauli_frame.residue_is_identity residue then
+      let rots, _ = Pauli_frame.extract c in
+      if Pauli_frame.verify c ~trace:rots then
         check "tableau factorization matches dense unitary" true
           (Unitary_check.circuit_implements c rots))
     circuits
@@ -96,7 +96,7 @@ let test_extract_matches_dense () =
 let test_residue_permutation () =
   let c = Circuit.of_gates 3 [ Gate.Swap (0, 1); Gate.Swap (1, 2) ] in
   let _, residue = Pauli_frame.extract c in
-  check "not identity" false (Pauli_frame.residue_is_identity residue);
+  check "not identity" false (Pauli_frame.verify c ~trace:[]);
   match Pauli_frame.residue_permutation residue with
   | Some perm ->
     (* data initially at 0 ends at ... SWAP(0,1) then SWAP(1,2): 0→1→2 *)
@@ -110,66 +110,81 @@ let test_residue_permutation_rejects_entangler () =
   let _, residue = Pauli_frame.extract c in
   check "cnot is not a permutation" true (Pauli_frame.residue_permutation residue = None)
 
-(* --- verify_ft --- *)
+(* --- verify under the identity placement (FT / ion-trap) --- *)
 
-let test_verify_ft_accepts () =
+let test_identity_accepts () =
   let c =
     Circuit.of_gates 2
       [ Gate.H 0; Gate.H 1; Gate.Cnot (0, 1); Gate.Rz (0.6, 1); Gate.Cnot (0, 1);
         Gate.H 0; Gate.H 1 ]
   in
-  check "XX rotation accepted" true (Pauli_frame.verify_ft c ~trace:[ str "XX", 0.6 ])
+  check "XX rotation accepted" true (Pauli_frame.verify c ~trace:[ str "XX", 0.6 ])
 
-let test_verify_ft_rejects_wrong_trace () =
+let test_identity_rejects_wrong_trace () =
   let c = Circuit.of_gates 2 [ Gate.Rz (0.6, 0) ] in
-  check "wrong string rejected" false (Pauli_frame.verify_ft c ~trace:[ str "ZI", 0.6 ]);
-  check "wrong angle rejected" false (Pauli_frame.verify_ft c ~trace:[ str "IZ", 0.5 ]);
-  check "right trace accepted" true (Pauli_frame.verify_ft c ~trace:[ str "IZ", 0.6 ])
+  check "wrong string rejected" false (Pauli_frame.verify c ~trace:[ str "ZI", 0.6 ]);
+  check "wrong angle rejected" false (Pauli_frame.verify c ~trace:[ str "IZ", 0.5 ]);
+  check "right trace accepted" true (Pauli_frame.verify c ~trace:[ str "IZ", 0.6 ])
 
-let test_verify_ft_rejects_leftover_clifford () =
+let test_identity_rejects_leftover_clifford () =
   let c = Circuit.of_gates 2 [ Gate.Rz (0.6, 0); Gate.H 1 ] in
-  check "leftover H rejected" false (Pauli_frame.verify_ft c ~trace:[ str "IZ", 0.6 ])
+  check "leftover H rejected" false (Pauli_frame.verify c ~trace:[ str "IZ", 0.6 ])
 
-(* --- verify_sc --- *)
+let test_identity_rejects_permutation_and_stray_z () =
+  (* The identity placement admits no data movement and no sign: a
+     leftover SWAP passes only with layouts that record it, and a stray
+     Z (a flipped X image) never passes on a data wire. *)
+  let trace = [ str "IZ", 0.6 ] in
+  let swapped = Circuit.of_gates 2 [ Gate.Rz (0.6, 0); Gate.Swap (0, 1) ] in
+  check "leftover SWAP rejected" false (Pauli_frame.verify swapped ~trace);
+  let final = Layout.identity 2 2 in
+  Layout.swap_physical final 0 1;
+  check "the same SWAP with its layouts accepted" true
+    (Pauli_frame.verify swapped ~trace ~layouts:(Layout.identity 2 2, final));
+  check "stray Z on qubit 1 rejected" false
+    (Pauli_frame.verify (Circuit.of_gates 2 [ Gate.Rz (0.6, 0); Gate.Z 1 ]) ~trace);
+  check "stray Z on qubit 0 rejected" false
+    (Pauli_frame.verify (Circuit.of_gates 2 [ Gate.Rz (0.6, 0); Gate.Z 0 ]) ~trace)
 
-let test_verify_sc_swap () =
+(* --- verify with layouts (SC) --- *)
+
+let test_layouts_swap () =
   (* Physical circuit on 3 qubits, logical 2: rotation then a routing swap. *)
   let initial = Layout.identity 2 3 in
   let final = Layout.identity 2 3 in
   Layout.swap_physical final 1 2;
   let c = Circuit.of_gates 3 [ Gate.Rz (0.3, 1); Gate.Swap (1, 2) ] in
   check "accepted" true
-    (Pauli_frame.verify_sc ~circuit:c ~trace:[ str "ZI", 0.3 ] ~initial ~final);
+    (Pauli_frame.verify c ~trace:[ str "ZI", 0.3 ] ~layouts:(initial, final));
   check "wrong final layout rejected" false
-    (Pauli_frame.verify_sc ~circuit:c ~trace:[ str "ZI", 0.3 ] ~initial
-       ~final:(Layout.identity 2 3))
+    (Pauli_frame.verify c ~trace:[ str "ZI", 0.3 ] ~layouts:(initial, (Layout.identity 2 3)))
 
-let test_verify_sc_rotation_after_swap () =
+let test_layouts_rotation_after_swap () =
   (* The rotation physically happens at q2 but logically on qubit 1. *)
   let initial = Layout.identity 2 3 in
   let final = Layout.identity 2 3 in
   Layout.swap_physical final 1 2;
   let c = Circuit.of_gates 3 [ Gate.Swap (1, 2); Gate.Rz (0.3, 2) ] in
   check "conjugated back to initial frame" true
-    (Pauli_frame.verify_sc ~circuit:c ~trace:[ str "ZI", 0.3 ] ~initial ~final)
+    (Pauli_frame.verify c ~trace:[ str "ZI", 0.3 ] ~layouts:(initial, final))
 
-let test_verify_ft_zero_angle_trace () =
+let test_identity_zero_angle_trace () =
   (* A zero-angle claimed rotation is the identity: it must neither
      require a gate nor block trace-side merging — the peephole pass
      deletes Rz(0) from the circuit and merges the rotations around the
      gap, so the verifier has to merge across the zero entry too. *)
   let c = Circuit.of_gates 1 [ Gate.H 0; Gate.Rz (0.8, 0); Gate.H 0 ] in
   check "zero entry is transparent" true
-    (Pauli_frame.verify_ft c
+    (Pauli_frame.verify c
        ~trace:[ str "X", 0.4; str "Z", 0.; str "X", 0.4 ]);
   check "all-zero trace needs no gates" true
-    (Pauli_frame.verify_ft (Circuit.of_gates 1 []) ~trace:[ str "Z", 0. ]);
+    (Pauli_frame.verify (Circuit.of_gates 1 []) ~trace:[ str "Z", 0. ]);
   check "nonzero rotation still required" false
-    (Pauli_frame.verify_ft (Circuit.of_gates 1 []) ~trace:[ str "Z", 0.3 ])
+    (Pauli_frame.verify (Circuit.of_gates 1 []) ~trace:[ str "Z", 0.3 ])
 
 (* --- residue_permutation on routed circuits with ancillas --- *)
 
-let test_verify_sc_ancilla_only_swap () =
+let test_layouts_ancilla_only_swap () =
   (* 2 logical qubits on 4 physical; routing swaps only the two ancilla
      wires, so the data never moves and the layouts stay identical. *)
   let initial = Layout.identity 2 4 in
@@ -184,9 +199,9 @@ let test_verify_sc_ancilla_only_swap () =
      check_int "ancilla 3 moved" 2 perm.(3)
    | None -> Alcotest.fail "expected a permutation residue");
   check "ancilla-only swap accepted" true
-    (Pauli_frame.verify_sc ~circuit:c ~trace:[ str "IZ", 0.3 ] ~initial ~final)
+    (Pauli_frame.verify c ~trace:[ str "IZ", 0.3 ] ~layouts:(initial, final))
 
-let test_verify_sc_data_ancilla_swap () =
+let test_layouts_data_ancilla_swap () =
   (* A swap moving data 1 onto an ancilla wire is fine iff the final
      layout records the move. *)
   let initial = Layout.identity 2 4 in
@@ -194,22 +209,21 @@ let test_verify_sc_data_ancilla_swap () =
   Layout.swap_physical final 1 2;
   let c = Circuit.of_gates 4 [ Gate.Rz (0.3, 1); Gate.Swap (1, 2) ] in
   check "accepted with updated layout" true
-    (Pauli_frame.verify_sc ~circuit:c ~trace:[ str "ZI", 0.3 ] ~initial ~final);
+    (Pauli_frame.verify c ~trace:[ str "ZI", 0.3 ] ~layouts:(initial, final));
   check "rejected with stale layout" false
-    (Pauli_frame.verify_sc ~circuit:c ~trace:[ str "ZI", 0.3 ] ~initial
-       ~final:(Layout.identity 2 4))
+    (Pauli_frame.verify c ~trace:[ str "ZI", 0.3 ] ~layouts:(initial, (Layout.identity 2 4)))
 
-let test_verify_sc_stray_z_placement () =
+let test_layouts_stray_z_placement () =
   (* A leftover Z is a sign flip on the X row of the wire it lands on:
      tolerated on a |0⟩ ancilla, rejected on a data wire. *)
   let initial = Layout.identity 2 4 in
   let trace = [ str "IZ", 0.3 ] in
   let on_ancilla = Circuit.of_gates 4 [ Gate.Rz (0.3, 0); Gate.Z 3 ] in
   check "stray Z on ancilla tolerated" true
-    (Pauli_frame.verify_sc ~circuit:on_ancilla ~trace ~initial ~final:initial);
+    (Pauli_frame.verify on_ancilla ~trace ~layouts:(initial, initial));
   let on_data = Circuit.of_gates 4 [ Gate.Rz (0.3, 0); Gate.Z 1 ] in
   check "stray Z on data rejected" false
-    (Pauli_frame.verify_sc ~circuit:on_data ~trace ~initial ~final:initial)
+    (Pauli_frame.verify on_data ~trace ~layouts:(initial, initial))
 
 (* --- verify: the FT/SC dispatch on compiled circuits --- *)
 
@@ -257,6 +271,68 @@ let test_verify_dispatch () =
   check "mutated SC circuit rejected" false
     (Pauli_frame.verify ~layouts ~trace (mutated sc.Compiler.circuit));
   check "Compiler.verified agrees" true (Compiler.verified sc && Compiler.verified ft)
+
+(* --- one verdict per compile --- *)
+
+(* [f ()] with the [pauli_mul] kernel calls it made on this domain. *)
+let with_muls f =
+  let before = Ph_perf.Counter.snapshot () in
+  let r = f () in
+  let after = Ph_perf.Counter.snapshot () in
+  r, List.assoc "pauli_mul" (Ph_perf.Counter.compile_assoc ~before ~after)
+
+let layouts_of (o : Paulihedral.Compiler.output) =
+  match o.initial_layout, o.final_layout with Some i, Some f -> Some (i, f) | _ -> None
+
+let test_verdict_built_once () =
+  let open Paulihedral in
+  let prog =
+    Ph_pauli_ir.Program.make 4
+      (List.map
+         (fun (s, w) ->
+           Ph_pauli_ir.Block.make [ Pauli_term.make (str s) w ] (Ph_pauli_ir.Block.fixed 0.3))
+         [ "ZIIZ", 0.5; "XXYI", 0.5; "IZZY", 0.5; "ZZII", 0.2; "XIIX", 0.7 ])
+  in
+  let lint = Ph_lint.Diag.Error_level in
+  List.iter
+    (fun (name, config) ->
+      let out = Compiler.compile config prog in
+      check (name ^ ": lint forced the verdict") true (Lazy.is_val out.Compiler.verdict);
+      check_int (name ^ ": no lint errors") 0 (List.length (Compiler.lint_errors out));
+      let first, muls1 = with_muls (fun () -> Compiler.verified out) in
+      let second, muls2 = with_muls (fun () -> Compiler.verified out) in
+      check (name ^ ": verified") true (first && second);
+      check_int (name ^ ": no second extraction") 0 (muls1 + muls2);
+      check (name ^ ": equals a fresh verify") first
+        (Pauli_frame.verify ?layouts:(layouts_of out) ~trace:out.Compiler.rotations
+           out.Compiler.circuit))
+    [
+      "FT GCO", Config.ft ~lint ();
+      "FT phoenix", Config.ft ~lint ~schedule:Config.Phoenix_like ();
+      "SC DO manhattan", Config.sc ~lint ~schedule:Config.Depth_oriented Devices.manhattan;
+      "ion trap", Config.ion_trap ~lint ();
+    ];
+  (* lint off: the compile never forces its verdict *)
+  let out = Compiler.compile (Config.ft ()) prog in
+  check "lint off leaves the verdict unforced" false (Lazy.is_val out.Compiler.verdict);
+  (* a baseline has no lint: the first call extracts, the second reads *)
+  let run = Pipelines.tk_sc Devices.manhattan prog in
+  check "baseline verdict unforced" false (Lazy.is_val run.Pipelines.verdict);
+  let first, muls1 = with_muls (fun () -> Pipelines.verified run) in
+  let second, muls2 = with_muls (fun () -> Pipelines.verified run) in
+  check "baseline verified" true (first && second);
+  check "first call runs the verifier" true (muls1 > 0);
+  check_int "second call reads the verdict" 0 muls2
+
+let test_verdict_exception_kept () =
+  (* a verifier exception reaches every reader, and lint reports it *)
+  let verdict = lazy (Pauli_frame.verify ~trace:[] (Circuit.of_gates 1 [ Gate.Rx (0.3, 0) ])) in
+  let raises () = match Lazy.force verdict with exception Invalid_argument _ -> true | _ -> false in
+  check "first force raises" true (raises ());
+  check "second force raises" true (raises ());
+  match Ph_lint.Check_frame.check ~rotations:[] verdict with
+  | [ d ] -> Alcotest.(check string) "VER001" "VER001" d.Ph_lint.Diag.code
+  | _ -> Alcotest.fail "expected one VER001"
 
 (* --- flat tableau vs the boxed oracle (test/pauli_frame_ref.ml) --- *)
 
@@ -416,24 +492,31 @@ let () =
           Alcotest.test_case "extract vs boxed oracle" `Quick test_extract_matches_oracle;
           Alcotest.test_case "normalize vs oracle" `Quick test_normalize_matches_oracle;
         ] );
-      ( "verify_ft",
+      ( "verify_identity",
         [
-          Alcotest.test_case "accepts" `Quick test_verify_ft_accepts;
-          Alcotest.test_case "rejects wrong trace" `Quick test_verify_ft_rejects_wrong_trace;
+          Alcotest.test_case "accepts" `Quick test_identity_accepts;
+          Alcotest.test_case "rejects wrong trace" `Quick test_identity_rejects_wrong_trace;
           Alcotest.test_case "rejects leftover clifford" `Quick
-            test_verify_ft_rejects_leftover_clifford;
+            test_identity_rejects_leftover_clifford;
+          Alcotest.test_case "rejects a permutation or a stray Z" `Quick
+            test_identity_rejects_permutation_and_stray_z;
           Alcotest.test_case "zero-angle trace entries" `Quick
-            test_verify_ft_zero_angle_trace;
+            test_identity_zero_angle_trace;
         ] );
-      ( "verify_sc",
+      ( "verify_layouts",
         [
-          Alcotest.test_case "swap residue" `Quick test_verify_sc_swap;
-          Alcotest.test_case "rotation after swap" `Quick test_verify_sc_rotation_after_swap;
-          Alcotest.test_case "ancilla-only swap" `Quick test_verify_sc_ancilla_only_swap;
-          Alcotest.test_case "data-ancilla swap" `Quick test_verify_sc_data_ancilla_swap;
-          Alcotest.test_case "stray Z placement" `Quick test_verify_sc_stray_z_placement;
+          Alcotest.test_case "swap residue" `Quick test_layouts_swap;
+          Alcotest.test_case "rotation after swap" `Quick test_layouts_rotation_after_swap;
+          Alcotest.test_case "ancilla-only swap" `Quick test_layouts_ancilla_only_swap;
+          Alcotest.test_case "data-ancilla swap" `Quick test_layouts_data_ancilla_swap;
+          Alcotest.test_case "stray Z placement" `Quick test_layouts_stray_z_placement;
         ] );
       "verify", [ Alcotest.test_case "FT/SC dispatch" `Quick test_verify_dispatch ];
+      ( "verdict",
+        [
+          Alcotest.test_case "built once per compile" `Quick test_verdict_built_once;
+          Alcotest.test_case "exception kept" `Quick test_verdict_exception_kept;
+        ] );
       ( "unitary_check",
         [
           Alcotest.test_case "rotations unitary" `Quick test_rotations_unitary;

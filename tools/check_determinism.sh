@@ -18,7 +18,9 @@
 #     confined to `seconds` / stage-timing fields that
 #     Report.normalize_record zeroes.
 #
-# Exit 1 with a file:line listing when an unlisted occurrence appears.
+# Exit 1 with a file:line listing when an unlisted occurrence appears,
+# and also when an allowlist entry matches no site: a stale entry would
+# silently permit a future clock read in that file.
 # Grep-level analysis, deliberately: it runs in milliseconds, needs no
 # build, and the allowlist makes every accepted occurrence a reviewed,
 # documented decision.
@@ -35,7 +37,6 @@ lib/analysis lib/lint lib/verify lib/pauli lib/pauli_ir lib/hardware"
 # unaffected.
 allowlist="
 lib/core/compiler.ml:Unix.gettimeofday
-lib/core/pipelines.ml:Unix.gettimeofday
 lib/core/report.ml:Unix.gettimeofday
 lib/pool/batch.ml:Unix.gettimeofday
 lib/pool/pool.ml:Unix.gettimeofday
@@ -50,6 +51,16 @@ allowed() {
 }
 
 status=0
+for entry in $allowlist; do
+  file=${entry%%:*}
+  pattern=${entry#*:}
+  if ! grep -qF "$pattern" "$file" 2>/dev/null; then
+    printf 'check_determinism: stale allowlist entry %s: no %s in %s\n' \
+      "$entry" "$pattern" "$file" >&2
+    status=1
+  fi
+done
+
 for pattern in 'Hashtbl.iter' 'Hashtbl.fold' 'Random.self_init' \
                'Unix.gettimeofday' 'Sys.time'; do
   # shellcheck disable=SC2086
@@ -70,8 +81,8 @@ for pattern in 'Hashtbl.iter' 'Hashtbl.fold' 'Random.self_init' \
 done
 
 if [ "$status" -ne 0 ]; then
-  echo "check_determinism: FAILED — nondeterminism primitives outside the allowlist" >&2
-  echo "(fix the site, or add a reviewed 'file:pattern' entry to tools/check_determinism.sh)" >&2
+  echo "check_determinism: FAILED — nondeterminism primitives outside the allowlist, or stale allowlist entries" >&2
+  echo "(fix the site, or add/remove a reviewed 'file:pattern' entry in tools/check_determinism.sh)" >&2
   exit 1
 fi
 echo "check_determinism: OK ($dirs)"
