@@ -18,16 +18,6 @@ let qubits = function
   | H q | X q | Y q | Z q | S q | Sdg q | Rz (_, q) | Rx (_, q) | Ry (_, q) -> [ q ]
   | Cnot (a, b) | Swap (a, b) | Rxx (_, a, b) -> [ a; b ]
 
-(* Same qubit order as [qubits], without building the list — the hot
-   [Circuit] walks (depth, layers, used_qubits) call this once or twice
-   per gate. *)
-let iter_qubits f = function
-  | H q | X q | Y q | Z q | S q | Sdg q | Rz (_, q) | Rx (_, q) | Ry (_, q) ->
-    f q
-  | Cnot (a, b) | Swap (a, b) | Rxx (_, a, b) ->
-    f a;
-    f b
-
 let is_two_qubit = function
   | Cnot _ | Swap _ | Rxx _ -> true
   | H _ | X _ | Y _ | Z _ | S _ | Sdg _ | Rz _ | Rx _ | Ry _ -> false

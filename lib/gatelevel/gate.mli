@@ -24,11 +24,6 @@ type t =
 (** Qubits touched, in declaration order. *)
 val qubits : t -> int list
 
-(** [iter_qubits f g] applies [f] to [g]'s qubits in declaration order
-    without building a list — the allocation-free form of {!qubits} for
-    per-gate hot loops ([Circuit.depth], [Circuit.layers]). *)
-val iter_qubits : (int -> unit) -> t -> unit
-
 val is_two_qubit : t -> bool
 
 (** Inverse gate ([H], [X], [Y], [Z], [Cnot], [Swap] are involutions;

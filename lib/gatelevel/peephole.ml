@@ -8,60 +8,20 @@ external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 let get b k = Int32.to_int (get32 b (4 * k))
 let set b k v = set32 b (4 * k) (Int32.of_int v)
 
-(* A slot code packs a gate without its angle: the kind in bits 0-3, the
-   first qubit in bits 4-29 and the last qubit (equal to the first on
-   single-qubit gates) from bit 30.  A removed slot's code is -1. *)
-let qmask = (1 lsl 26) - 1
+(* A slot holds the gate's [Circuit] code (kind in bits 0-3, first
+   qubit in bits 4-29, last qubit from bit 30; see circuit.mli), read
+   here through local copies of [Circuit.first]/[last] that the
+   compiler can inline into the walk.  A removed slot's code is -1. *)
+let qmask = Circuit.max_qubit
 
 let kind c = c land 15
 let q_first c = (c lsr 4) land qmask
 let q_last c = c lsr 30
 
-(* Kinds in [Gate.t] declaration order: H X Y Z S Sdg Rz Rx Ry Cnot
-   Swap Rxx. *)
+(* Kinds in [Circuit.kind] order: H X Y Z S Sdg Rz Rx Ry Cnot Swap Rxx. *)
 let n_kinds = 12
 
-let pack k q0 q1 =
-  if q0 < 0 || q0 > qmask || q1 < 0 || q1 > qmask then
-    invalid_arg "Peephole: qubit index out of range";
-  k lor (q0 lsl 4) lor (q1 lsl 30)
-
-let encode = function
-  | Gate.H q -> pack 0 q q
-  | Gate.X q -> pack 1 q q
-  | Gate.Y q -> pack 2 q q
-  | Gate.Z q -> pack 3 q q
-  | Gate.S q -> pack 4 q q
-  | Gate.Sdg q -> pack 5 q q
-  | Gate.Rz (_, q) -> pack 6 q q
-  | Gate.Rx (_, q) -> pack 7 q q
-  | Gate.Ry (_, q) -> pack 8 q q
-  | Gate.Cnot (a, b) -> pack 9 a b
-  | Gate.Swap (a, b) -> pack 10 a b
-  | Gate.Rxx (_, a, b) -> pack 11 a b
-
-(* The gate a code stands for, with angle [t] on rotations. *)
-let decode c t =
-  let a = q_first c and b = q_last c in
-  match kind c with
-  | 0 -> Gate.H a
-  | 1 -> Gate.X a
-  | 2 -> Gate.Y a
-  | 3 -> Gate.Z a
-  | 4 -> Gate.S a
-  | 5 -> Gate.Sdg a
-  | 6 -> Gate.Rz (t, a)
-  | 7 -> Gate.Rx (t, a)
-  | 8 -> Gate.Ry (t, a)
-  | 9 -> Gate.Cnot (a, b)
-  | 10 -> Gate.Swap (a, b)
-  | _ -> Gate.Rxx (t, a, b)
-
-let[@inline] angle_of = function
-  | Gate.Rz (t, _) | Gate.Rx (t, _) | Gate.Ry (t, _) | Gate.Rxx (t, _, _) -> t
-  | Gate.H _ | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.S _ | Gate.Sdg _
-  | Gate.Cnot _ | Gate.Swap _ ->
-    0.
+let is_rotation k = (k >= 6 && k <= 8) || k = 11
 
 (* Two rotations of one kind on the same qubits (either order for
    [Rxx]), which cancel or merge depending on their angles. *)
@@ -102,17 +62,22 @@ let relation =
   (* every kind on every operand pair from {0, 1, 2, 3}: all overlap
      patterns occur among these *)
   let reps angle =
-    Array.init (n_kinds * 16) (fun r ->
-        let k = r / 16 in
-        let x = r land 3 and y = if k >= 9 then (r lsr 2) land 3 else r land 3 in
-        decode (pack k x y) angle)
+    List.concat_map
+      (fun x ->
+        [ Gate.H x; Gate.X x; Gate.Y x; Gate.Z x; Gate.S x; Gate.Sdg x;
+          Gate.Rz (angle, x); Gate.Rx (angle, x); Gate.Ry (angle, x) ]
+        @ List.concat_map
+            (fun y -> [ Gate.Cnot (x, y); Gate.Swap (x, y); Gate.Rxx (angle, x, y) ])
+            [ 0; 1; 2; 3 ])
+      [ 0; 1; 2; 3 ]
   in
   let rep_a = reps 0.1 and rep_b = reps 0.2 in
-  Array.iter
+  List.iter
     (fun g ->
-      Array.iter
+      List.iter
         (fun h ->
-          let a = encode g and b = encode h in
+          let a = Circuit.encode g and b = Circuit.encode h in
+          assert (q_first a = Circuit.first a && q_last a = Circuit.last a);
           if overlap a b <> 0 then begin
             let r =
               if Gate.cancels g h then cancel
@@ -154,10 +119,11 @@ let[@inline] relate a b =
    - [fen]: Fenwick tree over the removed slots (cell [j + 1] for slot
      [j]).
    - [merged]: -1, or the cell of [angles] holding the slot's angle once
-     a later gate merged into it; unmerged angles are read from the
-     input gate. *)
+     a later gate merged into it; unmerged angles are read in place from
+     the input circuit's [input] array. *)
 type scratch = {
-  gates : Gate.t array;
+  m : int;
+  input : Float.Array.t;
   slots : Bytes.t;
   stop : Bytes.t;
   fen : Bytes.t;
@@ -178,8 +144,7 @@ let set_link s c v = set32 s.slots c (Int32.of_int v)
 
 let[@inline] angle s j =
   let k = get s.merged j in
-  if k >= 0 then Float.Array.unsafe_get s.angles k
-  else angle_of (Array.unsafe_get s.gates j)
+  if k >= 0 then Float.Array.unsafe_get s.angles k else Float.Array.unsafe_get s.input j
 
 let set_angle s j t =
   let k = get s.merged j in
@@ -196,30 +161,30 @@ let set_angle s j t =
     s.n_merged <- k + 1
   end
 
-(* Zero rotations enter as removed slots: the first round would drop
-   them before any walk, so they are counted removed up front. *)
+(* The codes are copied into the slots; zero rotations enter as removed
+   slots: the first round would drop them before any walk, so they are
+   counted removed up front. *)
 let scratch c =
-  let gates = Circuit.gates c in
-  let m = Array.length gates in
+  let codes = Circuit.codes c and input = Circuit.angles c in
+  let m = Array.length codes in
   let slots = Bytes.create (16 * m) in
   let stop = Bytes.make (4 * m) '\255' in
   let fen = Bytes.make (4 * (m + 1)) '\000' in
   let n = ref (Circuit.n_qubits c) and zeros = ref 0 in
-  Array.iteri
-    (fun j g ->
-      let code = encode g in
-      let q = if q_first code > q_last code then q_first code else q_last code in
-      if q >= !n then n := q + 1;
-      match g with
-      | (Gate.Rz (t, _) | Gate.Rx (t, _) | Gate.Ry (t, _) | Gate.Rxx (t, _, _))
-        when abs_float t < 1e-12 ->
-        set64 slots (16 * j) (-1L);
-        set fen (j + 1) 1;
-        incr zeros
-      | _ ->
-        set64 slots (16 * j) (Int64.of_int code);
-        set stop j (-2))
-    gates;
+  for j = 0 to m - 1 do
+    let code = Array.unsafe_get codes j in
+    let q = if q_first code > q_last code then q_first code else q_last code in
+    if q >= !n then n := q + 1;
+    if is_rotation (kind code) && abs_float (Float.Array.unsafe_get input j) < 1e-12 then begin
+      set64 slots (16 * j) (-1L);
+      set fen (j + 1) 1;
+      incr zeros
+    end
+    else begin
+      set64 slots (16 * j) (Int64.of_int code);
+      set stop j (-2)
+    end
+  done;
   (* the Fenwick tree over the removed flags, in linear time *)
   for k = 1 to m do
     let p = k + (k land -k) in
@@ -227,7 +192,8 @@ let scratch c =
   done;
   let s =
     {
-      gates;
+      m;
+      input;
       slots;
       stop;
       fen;
@@ -240,7 +206,7 @@ let scratch c =
   s, !zeros
 
 let fen_add s j =
-  let m = Array.length s.gates in
+  let m = s.m in
   let k = ref (j + 1) in
   while !k <= m do
     set s.fen !k (get s.fen !k + 1);
@@ -293,7 +259,7 @@ let round s ~window =
   let dead = ref 0 in
   let removed = ref 0 in
   let probes = ref 0 in
-  for i = 0 to Array.length s.gates - 1 do
+  for i = 0 to s.m - 1 do
     let g = code s i in
     if g < 0 then incr dead
     else begin
@@ -378,31 +344,26 @@ let round s ~window =
   Ph_perf.Counter.add Ph_perf.Counter.peephole_probes !probes;
   !removed
 
-(* The [live] survivors into one exact-size array; unmerged slots reuse
-   the input's gate values.  Charges [circuit_gates_built] as the
-   builder it replaces did. *)
-let unpack s circuit ~live =
-  Ph_perf.Counter.add Ph_perf.Counter.circuit_gates_built live;
-  let out = Array.make live (Gate.H 0) in
-  let i = ref 0 in
-  Array.iteri
-    (fun j g ->
-      let c = code s j in
-      if c >= 0 then begin
-        let k = get s.merged j in
-        out.(!i) <- (if k < 0 then g else decode c (Float.Array.unsafe_get s.angles k));
-        incr i
-      end)
-    s.gates;
-  assert (!i = live);
-  Circuit.of_array (Circuit.n_qubits circuit) out
+(* The [live] survivors, in slot order, into an exact-size circuit
+   (whose [to_circuit] charges [circuit_gates_built]). *)
+let survivors s circuit ~live =
+  let b = Circuit.Builder.create ~capacity:live (Circuit.n_qubits circuit) in
+  for j = 0 to s.m - 1 do
+    let c = code s j in
+    if c >= 0 then
+      let k = get s.merged j in
+      if k < 0 then Circuit.Builder.add_from b circuit j
+      else Circuit.Builder.add_rotation b c (Float.Array.unsafe_get s.angles k)
+  done;
+  assert (Circuit.Builder.length b = live);
+  Circuit.Builder.to_circuit b
 
 let default_window = 400
 
 let cancel_once ?(window = default_window) circuit =
   let s, zeros = scratch circuit in
   let removed = zeros + round s ~window in
-  unpack s circuit ~live:(Circuit.length circuit - removed), removed
+  survivors s circuit ~live:(Circuit.length circuit - removed), removed
 
 type stats = { removed : int; rounds : int }
 
@@ -417,7 +378,7 @@ let optimize_stats ?(window = default_window) ?(max_rounds = 20) circuit =
     let rec go total rounds r =
       let total = total + r and rounds = rounds + 1 in
       if r = 0 || rounds >= max_rounds then
-        unpack s circuit ~live:(m - total), { removed = total; rounds }
+        survivors s circuit ~live:(m - total), { removed = total; rounds }
       else begin
         Ph_perf.Counter.add Ph_perf.Counter.circuit_gates_built (m - total);
         go total rounds (round s ~window)

@@ -16,10 +16,12 @@
     reach it visits only the live gates sharing a qubit with the
     incoming one, through per-qubit chains of live slots.
 
-    Cost: the gates are packed once per call into 28 bytes each (a
-    16-byte slot of kind, qubits and chain links, plus 32-bit stop,
-    Fenwick and merge cells) and unpacked once at the end, reusing the
-    input's gate values for every slot that did not merge.  A visited
+    Cost: the input's gate codes are copied once per call into 28
+    bytes per gate (a 16-byte slot of code and chain links, plus 32-bit
+    stop, Fenwick and merge cells); angles are read in place from the
+    input circuit until a merge changes one.  The survivors' codes and
+    angles are copied once, at the end, into an exact-size circuit.  A
+    visited
     candidate costs one slot read and one table lookup, plus an
     O(log gates) live-count query when [j] lies more than [window] slots
     back; placing a gate costs O(1) and removing one O(log gates).
@@ -35,7 +37,7 @@ type stats = { removed : int; rounds : int }
     [max_rounds], default 20), with the same gates, [removed] and
     [rounds] as calling it round by round.
 
-    Cost: one packing and one unpacking for the whole fixpoint.  The
+    Cost: one copy in and one copy out for the whole fixpoint.  The
     first round walks every gate; a later round walks a gate again only
     when its last walk ran out of window or the gate that stopped it
     has been removed since.  Every other gate costs O(1) per round (the

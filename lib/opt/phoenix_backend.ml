@@ -24,33 +24,42 @@ let emittable_layers blocks =
       else None)
     blocks
 
+(* Every group's diagonal circuit is synthesized first, so that the
+   frame-wrapped whole is built in buffers of its exact size. *)
 let synthesize_ft ~n_qubits (pass : Pass.t) =
-  let builder = Circuit.Builder.create n_qubits in
+  let parts =
+    List.filter_map
+      (fun (g : Pass.group) ->
+        match emittable_layers g.Pass.blocks with
+        | [] -> None
+        | layers -> Some (g, Ft_backend.synthesize ~n_qubits layers))
+      pass.Pass.groups
+  in
+  let capacity =
+    List.fold_left
+      (fun acc ((g : Pass.group), r) ->
+        acc + (2 * List.length g.Pass.clifford) + Circuit.length r.Emit.circuit)
+      0 parts
+  in
+  let builder = Circuit.Builder.create ~capacity n_qubits in
   let rotations = ref [] in
   List.iter
-    (fun (g : Pass.group) ->
-      match emittable_layers g.Pass.blocks with
-      | [] -> ()
-      | layers ->
-        (* diag → (original, sign); lookups only, never iterated *)
-        let origin = Tbl.create 16 in
-        List.iter
-          (fun (orig, diag, sign) -> Tbl.replace origin diag (orig, sign))
-          g.Pass.rows;
-        Circuit.Builder.add_list builder g.Pass.clifford;
-        let r = Ft_backend.synthesize ~n_qubits layers in
-        Circuit.Builder.append builder r.Emit.circuit;
-        List.iter
-          (fun (diag, theta) ->
-            match Tbl.find_opt origin diag with
-            | Some (orig, sign) -> rotations := (orig, sign *. theta) :: !rotations
-            | None ->
-              invalid_arg "Phoenix_backend: emitted rotation missing from rows")
-          r.Emit.rotations;
-        List.iter
-          (fun gate -> Circuit.Builder.add builder (Gate.dagger gate))
-          (List.rev g.Pass.clifford))
-    pass.Pass.groups;
+    (fun ((g : Pass.group), r) ->
+      (* diag → (original, sign); lookups only, never iterated *)
+      let origin = Tbl.create 16 in
+      List.iter (fun (orig, diag, sign) -> Tbl.replace origin diag (orig, sign)) g.Pass.rows;
+      Circuit.Builder.add_list builder g.Pass.clifford;
+      Circuit.Builder.append builder r.Emit.circuit;
+      List.iter
+        (fun (diag, theta) ->
+          match Tbl.find_opt origin diag with
+          | Some (orig, sign) -> rotations := (orig, sign *. theta) :: !rotations
+          | None -> invalid_arg "Phoenix_backend: emitted rotation missing from rows")
+        r.Emit.rotations;
+      List.iter
+        (fun gate -> Circuit.Builder.add builder (Gate.dagger gate))
+        (List.rev g.Pass.clifford))
+    parts;
   {
     Emit.circuit = Circuit.Builder.to_circuit builder;
     rotations = List.rev !rotations;

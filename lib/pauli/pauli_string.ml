@@ -52,10 +52,25 @@ let make n f =
 
 let of_ops a = make (Array.length a) (Array.get a)
 
+(* One pass straight into the plane words, from qubit 0 (the last
+   character) up, so the first bad character reported is the one
+   [Pauli.of_char] would meet first in [make]'s order. *)
 let of_string s =
   let n = String.length s in
   if n = 0 then invalid_arg "Pauli_string.of_string: empty";
-  make n (fun i -> Pauli.of_char s.[n - 1 - i])
+  let p = identity n in
+  for i = 0 to n - 1 do
+    let w = Bits.word_of i and b = 1 lsl Bits.bit_of i in
+    match String.unsafe_get s (n - 1 - i) with
+    | 'I' | 'i' -> ()
+    | 'X' | 'x' -> p.x.(w) <- p.x.(w) lor b
+    | 'Z' | 'z' -> p.z.(w) <- p.z.(w) lor b
+    | 'Y' | 'y' ->
+      p.x.(w) <- p.x.(w) lor b;
+      p.z.(w) <- p.z.(w) lor b
+    | c -> ignore (Pauli.of_char c : Pauli.t)
+  done;
+  p
 
 let of_support n pairs =
   let p = identity n in

@@ -30,7 +30,13 @@ val add_basis_in : Circuit.Builder.t -> Pauli.t -> int -> unit
 (** Mirror of {!add_basis_in} ([Y → Rx(-π/2)]). *)
 val add_basis_out : Circuit.Builder.t -> Pauli.t -> int -> unit
 
+(** [chain_length p] is the number of gates {!emit_chain} emits for
+    [p] along any valid order: a basis change in and out per [X]/[Y],
+    two CNOTs per chain link and the rotation (0 for the identity). *)
+val chain_length : Pauli_string.t -> int
+
 (** [emit_chain b p ~order ~theta] lowers one term along the qubit
-    [order] (which must be exactly the support of [p], root last).
+    [order] (which must hold each qubit of the support of [p] once, root
+    last), reading the operators from [p]'s planes.
     @raise Invalid_argument if [order] is not the support of [p]. *)
-val emit_chain : Circuit.Builder.t -> Pauli_string.t -> order:int list -> theta:float -> unit
+val emit_chain : Circuit.Builder.t -> Pauli_string.t -> order:int array -> theta:float -> unit

@@ -77,7 +77,7 @@ let flatten layers =
 let order_with_prefix str prefix =
   let support = Pauli_string.support str in
   let rest = List.filter (fun q -> not (List.mem q prefix)) support in
-  prefix @ rest
+  Array.of_list (prefix @ rest)
 
 (* Chain mode: each string reuses the longest prefix of its left
    neighbour's order on which the two strings carry identical operators
@@ -88,7 +88,7 @@ let partner_window = 50
 
 let chain_orders events =
   let m = Array.length events in
-  let orders = Array.make m [] in
+  let orders = Array.make m [||] in
   (* Every string's planes, blitted once into flat [m × words] rows
      ([sup] is x ∨ z): the partner scans, the prefix match and the
      qubit classes below are word operations on these rows. *)
@@ -129,7 +129,7 @@ let chain_orders events =
     else right_partner i (j + 1) (steps + 1)
   in
   (* Per-string scratch: [taken] marks the qubits already placed, [buf]
-     collects the order before it becomes a list. *)
+     collects the order before it is copied out. *)
   let taken = Array.make words 0 in
   let buf = Array.make (words * Bits.word_bits) 0 in
   let len = ref 0 in
@@ -157,17 +157,21 @@ let chain_orders events =
        strings carry the same non-identity operator. *)
     let j = left_partner i (i - 1) 0 in
     if j >= 0 then begin
-      let oj = j * words in
-      let rec take = function
-        | q :: rest
-          when bit sup oi q = 1
-               && bit px oi q = bit px oj q
-               && bit pz oi q = bit pz oj q ->
-          push q;
-          take rest
-        | _ -> ()
+      let oj = j * words and prev = orders.(j) in
+      let rec take t =
+        if t < Array.length prev then begin
+          let q = prev.(t) in
+          if
+            bit sup oi q = 1
+            && bit px oi q = bit px oj q
+            && bit pz oi q = bit pz oj q
+          then begin
+            push q;
+            take (t + 1)
+          end
+        end
       in
-      take orders.(j)
+      take 0
     end;
     (* Then the operators shared with the right partner, stable ones
        first: Z positions (chains shared by whole string families)
@@ -202,11 +206,7 @@ let chain_orders events =
     for w = 0 to words - 1 do
       push_bits w (sup.(oi + w) land lnot taken.(w))
     done;
-    let order = ref [] in
-    for k = !len - 1 downto 0 do
-      order := buf.(k) :: !order
-    done;
-    orders.(i) <- !order
+    orders.(i) <- Array.sub buf 0 !len
   done;
   orders
 
@@ -216,7 +216,7 @@ let synthesize ?(mode = `Chain) ~n_qubits layers =
   let orders =
     match mode with
     | `Chain -> chain_orders events
-    | `Pair | `Independent -> Array.make m []
+    | `Pair | `Independent -> Array.make m [||]
   in
   let fixed = Array.make m false in
   (match mode with
@@ -224,7 +224,7 @@ let synthesize ?(mode = `Chain) ~n_qubits layers =
   | `Independent ->
     Array.iteri
       (fun i (s, _) ->
-        orders.(i) <- Pauli_string.support s;
+        orders.(i) <- Array.of_list (Pauli_string.support s);
         fixed.(i) <- true)
       events
   | `Pair -> ());
@@ -265,20 +265,22 @@ let synthesize ?(mode = `Chain) ~n_qubits layers =
         else Some (i + 1)
       in
       match neighbour with
-      | None -> orders.(i) <- Pauli_string.support s
+      | None -> orders.(i) <- Array.of_list (Pauli_string.support s)
       | Some j ->
         let shared = Pauli_string.shared_support (fst events.(j)) s in
         let prefix =
-          if fixed.(j) && orders.(j) <> [] then
+          if fixed.(j) && Array.length orders.(j) > 0 then
             (* Order the shared qubits as they appear in the neighbour's
                chain so the common prefix actually matches. *)
-            List.filter (fun q -> List.mem q shared) orders.(j)
+            List.filter (fun q -> List.mem q shared) (Array.to_list orders.(j))
           else shared
         in
         orders.(i) <- order_with_prefix s prefix
     end
   done;
-  let b = Circuit.Builder.create n_qubits in
+  (* Sized exactly, so the buffers never grow and become the circuit. *)
+  let capacity = Array.fold_left (fun acc (s, _) -> acc + Emit.chain_length s) 0 events in
+  let b = Circuit.Builder.create ~capacity n_qubits in
   let rotations = ref [] in
   for i = 0 to m - 1 do
     let s, theta = events.(i) in

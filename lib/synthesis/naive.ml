@@ -11,7 +11,7 @@ let synthesize prog =
         (fun (t : Pauli_term.t) ->
           let theta = Emit.angle (Block.param blk) t.coeff in
           if not (Pauli_string.is_identity t.str) then begin
-            Emit.emit_chain b t.str ~order:(Pauli_string.support t.str) ~theta;
+            Emit.emit_chain b t.str ~order:(Array.of_list (Pauli_string.support t.str)) ~theta;
             rotations := (t.str, theta) :: !rotations
           end)
         (Block.terms blk))

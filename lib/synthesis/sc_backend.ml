@@ -45,7 +45,7 @@ type state = {
   holders : int array; (* a string's holder positions ... *)
   ops : Pauli.t array; (* ... and their operators *)
   cone : int array; (* a string's cone positions, deepest first ... *)
-  cone_gates : Gate.t array; (* ... and their CNOTs *)
+  cone_gates : int array; (* ... and their CNOTs' codes *)
   settled : bool array;
   mutable log : int array; (* [connect_actives]' SWAPs, as pairs *)
   mutable n_log : int;
@@ -71,7 +71,7 @@ let create_state coupling noise layout =
     holders = Array.make n 0;
     ops = Array.make n Pauli.I;
     cone = Array.make n 0;
-    cone_gates = Array.make n (Gate.H 0);
+    cone_gates = Array.make n 0;
     settled = Array.make n false;
     log = Array.make 64 0;
     n_log = 0;
@@ -81,7 +81,7 @@ let create_state coupling noise layout =
 
 (* A SWAP that moves the layout with it. *)
 let add_swap st u v =
-  Circuit.Builder.add st.builder (Gate.Swap (u, v));
+  Circuit.Builder.add_code st.builder (Circuit.code Circuit.Swap u v);
   st.swap_count <- st.swap_count + 1;
   Layout.swap_physical st.layout u v
 
@@ -207,7 +207,8 @@ let connect_actives st ~root_log ~active_log =
     st.n_log <- 0;
     if route st ~root_log ~active_log k ~steps:0 then begin
       for i = 0 to (st.n_log / 2) - 1 do
-        Circuit.Builder.add st.builder (Gate.Swap (st.log.(2 * i), st.log.((2 * i) + 1)))
+        Circuit.Builder.add_code st.builder
+          (Circuit.code Circuit.Swap st.log.(2 * i) st.log.((2 * i) + 1))
       done;
       st.swap_count <- st.swap_count + (st.n_log / 2);
       true
@@ -288,12 +289,12 @@ let emit_string_on_tree st root k ~theta =
   done;
   for i = 0 to !m - 1 do
     let p = st.cone.(i) in
-    st.cone_gates.(i) <- Gate.Cnot (p, Coupling.parent sc p);
-    Circuit.Builder.add st.builder st.cone_gates.(i)
+    st.cone_gates.(i) <- Circuit.code Circuit.Cnot p (Coupling.parent sc p);
+    Circuit.Builder.add_code st.builder st.cone_gates.(i)
   done;
-  Circuit.Builder.add st.builder (Gate.Rz (theta, root));
+  Circuit.Builder.add_rotation st.builder (Circuit.code Circuit.Rz root root) theta;
   for i = !m - 1 downto 0 do
-    Circuit.Builder.add st.builder st.cone_gates.(i)
+    Circuit.Builder.add_code st.builder st.cone_gates.(i)
   done;
   for i = 0 to k - 1 do
     Emit.add_basis_out st.builder ops.(i) hs.(i);

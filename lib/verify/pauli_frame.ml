@@ -94,14 +94,14 @@ let row_string t row =
 
 (* Rotation angles reduced to (−π, π]; merged Clifford rotations can
    arrive as any multiple of π/2. *)
-let canonical theta =
+let[@inline] canonical theta =
   let two_pi = 2. *. Float.pi in
   let t = Float.rem theta two_pi in
   if t > Float.pi +. 1e-9 then t -. two_pi
   else if t <= -.Float.pi -. 1e-9 then t +. two_pi
   else t
 
-let near x y = abs_float (x -. y) < 1e-9
+let[@inline] near x y = abs_float (x -. y) < 1e-9
 
 (* Rxx(±π/2): c† Z_a c = ±Y_a X_b = ±i·X_a·Z_a·X_b and symmetrically
    for b, both from the old rows; X rows are unchanged.  Z_a's image
@@ -117,48 +117,53 @@ let rxx_quarter t ~extra a b =
   t.scratch <- t.zrow.(a);
   t.zrow.(a) <- za'
 
-let non_clifford g =
-  invalid_arg (Printf.sprintf "Pauli_frame: non-Clifford gate %s" (Gate.to_string g))
+let non_clifford circuit i =
+  invalid_arg
+    (Printf.sprintf "Pauli_frame: non-Clifford gate %s" (Circuit.gate_to_string circuit i))
 
-(* D'(P) = D(g† P g): rewrite each basis generator on g's qubits
-   (Rz and Rxx are handled by [extract]). *)
-let apply_gate t g =
-  match g with
-  | Gate.H q ->
+(* D'(P) = D(g† P g) for gate [i] of [circuit], of code [code]:
+   rewrite each basis generator on its qubits (Rz and Rxx are handled
+   by [extract]).  Only Rx and Ry read their angle, in place. *)
+let apply_gate t circuit i code =
+  let q = Circuit.first code in
+  match Circuit.kind code with
+  | Circuit.H ->
     let z = t.zrow.(q) in
     t.zrow.(q) <- t.xrow.(q);
     t.xrow.(q) <- z
-  | Gate.S q ->
+  | Circuit.S ->
     (* S† X S = -Y = -i·X·Z *)
     let x = t.xrow.(q) in
     mul_rows t ~extra:3 x x t.zrow.(q);
     check_hermitian t x
-  | Gate.Sdg q ->
+  | Circuit.Sdg ->
     (* S X S† = Y = i·X·Z *)
     let x = t.xrow.(q) in
     mul_rows t ~extra:1 x x t.zrow.(q);
     check_hermitian t x
-  | Gate.X q -> flip t t.zrow.(q)
-  | Gate.Z q -> flip t t.xrow.(q)
-  | Gate.Y q ->
+  | Circuit.X -> flip t t.zrow.(q)
+  | Circuit.Z -> flip t t.xrow.(q)
+  | Circuit.Y ->
     flip t t.zrow.(q);
     flip t t.xrow.(q)
-  | Gate.Cnot (c, tq) ->
+  | Circuit.Cnot ->
     (* X_c → X_c X_t and Z_t → Z_c Z_t *)
+    let c = q and tq = Circuit.last code in
     let xc = t.xrow.(c) and xt = t.xrow.(tq) in
     mul_rows t ~extra:0 xc xc xt;
     check_hermitian t xc;
     let zc = t.zrow.(c) and zt = t.zrow.(tq) in
     mul_rows t ~extra:0 zt zc zt;
     check_hermitian t zt
-  | Gate.Swap (a, b) ->
+  | Circuit.Swap ->
+    let a = q and b = Circuit.last code in
     let za = t.zrow.(a) and xa = t.xrow.(a) in
     t.zrow.(a) <- t.zrow.(b);
     t.xrow.(a) <- t.xrow.(b);
     t.zrow.(b) <- za;
     t.xrow.(b) <- xa
-  | Gate.Rx (theta, q) ->
-    let c = canonical theta in
+  | Circuit.Rx ->
+    let c = canonical (Float.Array.get (Circuit.angles circuit) i) in
     if near c (Float.pi /. 2.) then begin
       (* Rx(π/2)† Z Rx(π/2) = Y = i·X·Z *)
       let z = t.zrow.(q) in
@@ -174,9 +179,9 @@ let apply_gate t g =
     else if near (abs_float c) Float.pi then
       (* ≐ X up to phase *)
       flip t t.zrow.(q)
-    else non_clifford g
-  | Gate.Ry (theta, q) ->
-    let c = canonical theta in
+    else non_clifford circuit i
+  | Circuit.Ry ->
+    let c = canonical (Float.Array.get (Circuit.angles circuit) i) in
     if near c (Float.pi /. 2.) then begin
       (* c† X c = Z and c† Z c = −X *)
       let x = t.xrow.(q) in
@@ -196,8 +201,8 @@ let apply_gate t g =
       flip t t.xrow.(q);
       flip t t.zrow.(q)
     end
-    else non_clifford g
-  | Gate.Rz _ | Gate.Rxx _ -> non_clifford g
+    else non_clifford circuit i
+  | Circuit.Rz | Circuit.Rxx -> non_clifford circuit i
 
 (* An Rxx is a Clifford at ±π/2 and π; any other angle is a native
    rotation whose effective Pauli is D(X_a X_b). *)
@@ -217,8 +222,9 @@ let apply_rxx t rotation theta a b =
     rotation s theta
   end
 
-(* A string is allocated per extracted rotation and, once at the end,
-   per residue row — never per gate. *)
+(* The walk reads the circuit's codes and angles in place.  A string is
+   allocated per extracted rotation and, once at the end, per residue
+   row — never per gate. *)
 let extract circuit =
   let t = create (Circuit.n_qubits circuit) in
   let rotations = ref [] in
@@ -226,16 +232,19 @@ let extract circuit =
     let sign = if t.ph.(row) land 3 = 0 then 1. else -1. in
     rotations := (row_string t row, sign *. theta) :: !rotations
   in
+  let codes = Circuit.codes circuit and angles = Circuit.angles circuit in
   Fun.protect
     ~finally:(fun () -> charge t)
     (fun () ->
-      Array.iter
-        (fun g ->
-          match g with
-          | Gate.Rz (theta, q) -> rotation t.zrow.(q) theta
-          | Gate.Rxx (theta, a, b) -> apply_rxx t rotation theta a b
-          | g -> apply_gate t g)
-        (Circuit.gates circuit));
+      for i = 0 to Array.length codes - 1 do
+        let code = codes.(i) in
+        match Circuit.kind code with
+        | Circuit.Rz -> rotation t.zrow.(Circuit.first code) (Float.Array.get angles i)
+        | Circuit.Rxx ->
+          apply_rxx t rotation (Float.Array.get angles i) (Circuit.first code)
+            (Circuit.last code)
+        | _ -> apply_gate t circuit i code
+      done);
   let image row = row_string t row, t.ph.(row) in
   ( List.rev !rotations,
     { z_images = Array.map image t.zrow; x_images = Array.map image t.xrow } )

@@ -1,11 +1,10 @@
 (* Reference implementation for the synthesis tests: the FT backend as
    it was before chain ordering moved to bitplanes, kept verbatim as the
    oracle the rewritten [Ft_backend.synthesize] must match gate for gate
-   in every mode. *)
+   in every mode.  It emits through the boxed [Emit_ref]. *)
 
 open Ph_pauli
 open Ph_pauli_ir
-open Ph_gatelevel
 open Ph_schedule
 open Ph_synthesis
 
@@ -235,11 +234,11 @@ let synthesize ?(mode = `Chain) ~n_qubits layers =
         orders.(i) <- order_with_prefix s prefix
     end
   done;
-  let b = Circuit.Builder.create n_qubits in
+  let b = Emit_ref.Builder.create n_qubits in
   let rotations = ref [] in
   for i = 0 to m - 1 do
     let s, theta = events.(i) in
-    Emit.emit_chain b s ~order:orders.(i) ~theta;
+    Emit_ref.emit_chain b s ~order:orders.(i) ~theta;
     rotations := (s, theta) :: !rotations
   done;
-  { Emit.circuit = Circuit.Builder.to_circuit b; rotations = List.rev !rotations }
+  { Emit.circuit = Emit_ref.Builder.to_circuit b; rotations = List.rev !rotations }

@@ -3,7 +3,7 @@
    and block synthesis to flat arrays, kept verbatim (its per-pair
    Dijkstra and its subset routines come from [Coupling_ref]) as the
    oracle the rewritten [Sc_backend.synthesize] must match gate for
-   gate. *)
+   gate.  It emits through the boxed [Emit_ref]. *)
 
 open Ph_pauli
 open Ph_pauli_ir
@@ -169,7 +169,7 @@ let emit_string_on_tree builder layout parents root ~swap_count ~phys_ops ~theta
         let pos = ref p in
         while !pos <> root && not (Hashtbl.mem settled parents.(!pos)) do
           let np = parents.(!pos) in
-          Circuit.Builder.add builder (Gate.Swap (!pos, np));
+          Emit_ref.Builder.add builder (Gate.Swap (!pos, np));
           incr swap_count;
           Layout.swap_physical layout !pos np;
           pos := np
@@ -179,7 +179,7 @@ let emit_string_on_tree builder layout parents root ~swap_count ~phys_ops ~theta
       holders
   in
   List.iter
-    (fun (p, op) -> Emit.add_basis_in builder op p)
+    (fun (p, op) -> Emit_ref.add_basis_in builder op p)
     final;
   let cone =
     List.filter (fun (p, _) -> p <> root) final
@@ -187,11 +187,11 @@ let emit_string_on_tree builder layout parents root ~swap_count ~phys_ops ~theta
     |> List.sort (fun a b -> Stdlib.compare depth.(b) depth.(a))
     |> List.map (fun n -> Gate.Cnot (n, parents.(n)))
   in
-  Circuit.Builder.add_list builder cone;
-  Circuit.Builder.add builder (Gate.Rz (theta, root));
-  Circuit.Builder.add_list builder (List.rev cone);
+  Emit_ref.Builder.add_list builder cone;
+  Emit_ref.Builder.add builder (Gate.Rz (theta, root));
+  Emit_ref.Builder.add_list builder (List.rev cone);
   List.iter
-    (fun (p, op) -> Emit.add_basis_out builder op p)
+    (fun (p, op) -> Emit_ref.add_basis_out builder op p)
     final
 
 (* Physical operator table of a logical string under [layout]. *)
@@ -233,7 +233,7 @@ let synthesize_block coupling noise layout builder rotations policy ~swap_count 
     match connect_actives coupling noise layout ~root_log ~active_log:actives ~avoid with
     | None -> false
     | Some swaps ->
-      Circuit.Builder.add_list builder swaps;
+      Emit_ref.Builder.add_list builder swaps;
       swap_count := !swap_count + List.length swaps;
       (* Strings inside a block may be reordered freely (the IR's
          semantics is commutative within a pauli_str_list).  Greedy loop:
@@ -298,7 +298,7 @@ let synthesize_block coupling noise layout builder rotations policy ~swap_count 
                None
           |> Option.get
         in
-        Circuit.Builder.add builder (Gate.Swap (a, first));
+        Emit_ref.Builder.add builder (Gate.Swap (a, first));
         incr swap_count;
         Layout.swap_physical layout a first
       in
@@ -391,7 +391,7 @@ let synthesize ?noise ?(root_policy = `Largest_component) ~coupling ~n_qubits la
     invalid_arg "Sc_backend.synthesize: program larger than device";
   let layout = Layout.most_connected coupling ~n_logical:n_qubits in
   let initial_layout = Layout.copy layout in
-  let builder = Circuit.Builder.create (Coupling.n_qubits coupling) in
+  let builder = Emit_ref.Builder.create (Coupling.n_qubits coupling) in
   let rotations = ref [] in
   let swap_count = ref 0 in
   let remains = ref [] in
@@ -442,7 +442,7 @@ let synthesize ?noise ?(root_policy = `Largest_component) ~coupling ~n_qubits la
       if not ok then invalid_arg "Sc_backend.synthesize: routing failed"
   done;
   {
-    circuit = Circuit.Builder.to_circuit builder;
+    circuit = Emit_ref.Builder.to_circuit builder;
     rotations = List.rev !rotations;
     initial_layout;
     final_layout = layout;

@@ -290,9 +290,7 @@ let random_circuit st =
   in
   Circuit.of_gates n (List.init (Random.State.int st 48) (fun _ -> gate ()))
 
-let same_gates a b =
-  let ga = Circuit.gates a and gb = Circuit.gates b in
-  Array.length ga = Array.length gb && Array.for_all2 Gate.equal ga gb
+let same_gates = Emit_ref.same_circuit
 
 let gates_built () =
   List.assoc "circuit_gates_built" (Ph_perf.Counter.totals_assoc ())
@@ -325,6 +323,110 @@ let test_decompose_swaps_matches_builder () =
     check_int "same qubit count" (Circuit.n_qubits d') (Circuit.n_qubits d);
     check_int "same gates built" (b2 - b1) (b1 - b0)
   done
+
+(* [gates] gives back what [of_gates] and [Builder.add] took, over
+   all 12 kinds, angles compared to the bit (so [-0.] stays [-0.]),
+   qubits up to [Circuit.max_qubit]. *)
+let prop_gates_roundtrip =
+  let angle_bits = function
+    | Gate.Rz (t, _) | Gate.Rx (t, _) | Gate.Ry (t, _) | Gate.Rxx (t, _, _) ->
+      Int64.bits_of_float t
+    | _ -> 0L
+  in
+  let gen_gate =
+    QCheck.Gen.(
+      let q = oneof [ int_bound 9; return Circuit.max_qubit; int_bound Circuit.max_qubit ] in
+      let t = oneofl [ 0.; -0.; 0.5; -1.25; 1e-300; Float.pi; -.Float.pi /. 2.; 3e12 ] in
+      oneof
+        [
+          map (fun q -> Gate.H q) q; map (fun q -> Gate.X q) q; map (fun q -> Gate.Y q) q;
+          map (fun q -> Gate.Z q) q; map (fun q -> Gate.S q) q; map (fun q -> Gate.Sdg q) q;
+          map2 (fun t q -> Gate.Rz (t, q)) t q; map2 (fun t q -> Gate.Rx (t, q)) t q;
+          map2 (fun t q -> Gate.Ry (t, q)) t q; map2 (fun a b -> Gate.Cnot (a, b)) q q;
+          map2 (fun a b -> Gate.Swap (a, b)) q q;
+          map3 (fun t a b -> Gate.Rxx (t, a, b)) t q q;
+        ])
+  in
+  QCheck.Test.make ~name:"of_gates and gates round-trip" ~count:500
+    (QCheck.make
+       ~print:(fun gs -> String.concat "; " (List.map Gate.to_string gs))
+       QCheck.Gen.(list_size (int_bound 40) gen_gate))
+    (fun gs ->
+      let same c =
+        let back = Circuit.to_list c in
+        List.length back = List.length gs
+        && List.for_all2 (fun a b -> Gate.equal a b && angle_bits a = angle_bits b) gs back
+      in
+      let b = Circuit.Builder.create ~capacity:3 5 in
+      Circuit.Builder.add_list b gs;
+      let built = Circuit.Builder.to_circuit b in
+      same (Circuit.of_gates 5 gs) && same built
+      && Emit_ref.same_circuit built (Circuit.of_gates 5 gs)
+      && Circuit.length built = List.length gs)
+
+(* A builder filled past several chunks by single adds and by appends
+   that straddle chunk ends, from each starting capacity, equals
+   [of_gates] of the same gates; a circuit taken from a full builder
+   stays as it was while the builder goes on. *)
+let test_builder_chunks () =
+  let st = Random.State.make [| 31 |] in
+  List.iter
+    (fun capacity ->
+      let b = Circuit.Builder.create ~capacity 3 in
+      let all = ref [] in
+      let add g =
+        Circuit.Builder.add b g;
+        all := g :: !all
+      in
+      while Circuit.Builder.length b < 20_000 do
+        if Random.State.int st 50 = 0 then begin
+          let c = random_circuit st in
+          let gs = Circuit.to_list c in
+          Circuit.Builder.append b (Circuit.of_gates 3 gs);
+          all := List.rev_append gs !all
+        end
+        else
+          add
+            (match Random.State.int st 3 with
+            | 0 -> Gate.H (Random.State.int st 3)
+            | 1 -> Gate.Rz (Random.State.float st 1., Random.State.int st 3)
+            | _ -> Gate.Cnot (0, 2))
+      done;
+      let want = Circuit.of_gates 3 (List.rev !all) in
+      let got = Circuit.Builder.to_circuit b in
+      check (Printf.sprintf "capacity %d" capacity) true (same_gates got want);
+      check_int "length" (Circuit.length want) (Circuit.Builder.length b))
+    [ 0; 1; 64; 4095; 4096; 5000 ];
+  let b = Circuit.Builder.create ~capacity:2 1 in
+  Circuit.Builder.add b (Gate.X 0);
+  Circuit.Builder.add b (Gate.Y 0);
+  let first = Circuit.Builder.to_circuit b in
+  Circuit.Builder.add b (Gate.Z 0);
+  check "handed-over buffers untouched" true
+    (same_gates first (Circuit.of_gates 1 [ Gate.X 0; Gate.Y 0 ]));
+  check "builder goes on" true
+    (same_gates (Circuit.Builder.to_circuit b) (Circuit.of_gates 1 [ Gate.X 0; Gate.Y 0; Gate.Z 0 ]))
+
+(* Qubits must fit the code's 26-bit fields. *)
+let test_qubit_range () =
+  let big = 1 lsl 26 in
+  let rejects name g =
+    Alcotest.check_raises name
+      (Invalid_argument
+         (Printf.sprintf "Circuit.code: qubit %d out of range"
+            (List.find (fun q -> q < 0 || q > Circuit.max_qubit) (Gate.qubits g))))
+      (fun () -> Circuit.Builder.add (Circuit.Builder.create 2) g)
+  in
+  rejects "single-qubit gate at 2^26" (Gate.H big);
+  rejects "rotation at 2^26" (Gate.Rz (0.1, big));
+  rejects "CNOT target at 2^26" (Gate.Cnot (0, big));
+  rejects "SWAP first at 2^26" (Gate.Swap (big, 1));
+  rejects "negative Rxx qubit" (Gate.Rxx (0.1, 0, -1));
+  Alcotest.check_raises "of_gates" (Invalid_argument "Circuit.code: qubit 67108864 out of range")
+    (fun () -> ignore (Circuit.of_gates 2 [ Gate.X 0; Gate.Y big ]));
+  let top = Gate.Cnot (Circuit.max_qubit, 0) in
+  check "2^26 - 1 fits" true
+    (Gate.equal top (Circuit.gates (Circuit.of_gates 2 [ top ])).(0))
 
 (* The builder charges its length once, when it becomes a circuit. *)
 let test_builder_counts_at_to_circuit () =
@@ -492,6 +594,30 @@ let test_peephole_matches_reference_compiled () =
           (Config.sc Ph_hardware.Devices.manhattan)
           (Uccsd.ansatz ~seed:3 ~max_doubles:100 ~n_qubits:12 ()) );
     ]
+
+(* Coarse allocation guard: the fixpoint over a compiled 64-qubit FT
+   circuit (~86k gates, two rounds) allocates O(1) minor words per
+   gate — here fewer than one per gate: the scratch and the output
+   buffers are single large blocks, and only merged angles cross a
+   call boxed. *)
+let test_peephole_allocation () =
+  let open Paulihedral in
+  let prog =
+    Ph_benchmarks.Uccsd.ansatz ~seed:1 ~max_singles:150 ~max_doubles:150 ~n_qubits:64 ()
+  in
+  let c =
+    (Compiler.compile { (Config.ft ~schedule:Config.Depth_oriented ()) with Config.peephole = false } prog)
+      .Compiler.circuit
+  in
+  ignore (Peephole.optimize_stats c);
+  let w0 = Gc.minor_words () in
+  let _, stats = Peephole.optimize_stats c in
+  let words = Gc.minor_words () -. w0 in
+  check
+    (Printf.sprintf "%.0f minor words < %d gates (%d rounds)" words (Circuit.length c)
+       stats.Peephole.rounds)
+    true
+    (stats.Peephole.rounds >= 2 && words < float_of_int (Circuit.length c))
 
 (* Later rounds walk only gates whose last walk ran out of window or
    whose blocker has gone.  Window 2: the X pairs cancel in round 1,
@@ -721,6 +847,9 @@ let () =
           Alcotest.test_case "dagger" `Quick test_dagger_circuit;
           Alcotest.test_case "remap" `Quick test_remap;
           Alcotest.test_case "builder growth" `Quick test_builder;
+          qcheck prop_gates_roundtrip;
+          Alcotest.test_case "builder chunks" `Quick test_builder_chunks;
+          Alcotest.test_case "qubit range" `Quick test_qubit_range;
           Alcotest.test_case "layers" `Quick test_layers;
           Alcotest.test_case "qasm export" `Quick test_qasm_export;
           Alcotest.test_case "qasm channel" `Quick test_qasm_channel_matches_string;
@@ -735,6 +864,7 @@ let () =
       ( "peephole",
         [
           Alcotest.test_case "inverse pairs" `Quick test_peephole_pairs;
+          Alcotest.test_case "allocates O(1) words per gate" `Quick test_peephole_allocation;
           Alcotest.test_case "commutation-aware" `Quick test_peephole_commuting;
           Alcotest.test_case "rotation merging" `Quick test_peephole_merge;
           Alcotest.test_case "stats match gate delta" `Quick test_peephole_stats_consistent;

@@ -136,6 +136,38 @@ let prop_string_roundtrip =
       let p = Pauli_string.of_ops a in
       Pauli_string.equal p (Pauli_string.of_string (Pauli_string.to_string p)))
 
+(* The one-pass parser equals the per-qubit [make] form on mixed-case
+   strings of 1–300 qubits (up to five plane words), and raises what
+   [make] raises once two characters are spoiled. *)
+let prop_of_string_matches_make =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (string_size ~gen:(oneofl [ 'I'; 'X'; 'Y'; 'Z'; 'i'; 'x'; 'y'; 'z' ]) (int_range 1 300))
+        nat nat)
+  in
+  QCheck.Test.make ~name:"of_string equals the make form" ~count:300
+    (QCheck.make ~print:(fun (s, _, _) -> s) gen)
+    (fun (s, i, j) ->
+      let via_make s =
+        let n = String.length s in
+        Pauli_string.make n (fun i -> Pauli.of_char s.[n - 1 - i])
+      in
+      let bad = Bytes.of_string s in
+      Bytes.set bad (i mod Bytes.length bad) 'q';
+      Bytes.set bad (j mod Bytes.length bad) '7';
+      let bad = Bytes.to_string bad in
+      let raised parse = match parse bad with _ -> None | exception Invalid_argument m -> Some m in
+      Pauli_string.equal (Pauli_string.of_string s) (via_make s)
+      && raised Pauli_string.of_string = raised via_make
+      && raised via_make <> None)
+
+let test_of_string_errors () =
+  Alcotest.check_raises "empty" (Invalid_argument "Pauli_string.of_string: empty") (fun () ->
+      ignore (Pauli_string.of_string ""));
+  Alcotest.check_raises "bad character" (Invalid_argument "Pauli.of_char: Q") (fun () ->
+      ignore (Pauli_string.of_string "XQZ"))
+
 let prop_overlap_symmetric =
   QCheck.Test.make ~name:"overlap symmetric, bounded by weight" ~count:200
     QCheck.(pair (arb_string 7) (arb_string 7))
@@ -273,6 +305,8 @@ let () =
           Alcotest.test_case "overlap metrics" `Quick test_overlap;
           qcheck prop_string_mul_commutation;
           qcheck prop_string_roundtrip;
+          qcheck prop_of_string_matches_make;
+          Alcotest.test_case "of_string errors" `Quick test_of_string_errors;
           qcheck prop_overlap_symmetric;
           qcheck prop_lex_total_order;
           qcheck prop_mul_weight_support;

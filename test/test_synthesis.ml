@@ -284,15 +284,16 @@ let test_sc_swap_counter () =
   check "routing produced swaps" true (r.swaps > 0)
 
 (* The SC backend must reproduce the reference implementation kept in
-   [Sc_backend_ref] gate for gate: same circuit, rotation trace, SWAP
+   [Sc_backend_ref] code for code (angles to the bit, through
+   [Emit_ref.flat]): same circuit, rotation trace, SWAP
    count and initial/final layouts.  Every program used here compiles,
    so the comparison is never between two identical failures. *)
 let sc_matches_ref ?noise ?root_policy ~coupling name prog =
   let n_qubits = Program.n_qubits prog in
   let layers = Depth_oriented.schedule prog in
   let summary circuit rotations initial final swaps =
-    ( Circuit.gates circuit,
-      List.map (fun (s, t) -> Pauli_string.to_string s, t) rotations,
+    ( Emit_ref.flat circuit,
+      List.map (fun (s, t) -> Pauli_string.to_string s, Int64.bits_of_float t) rotations,
       Layout.to_array initial,
       Layout.to_array final,
       swaps )
@@ -505,8 +506,8 @@ let test_ft_cancellation_across_padding () =
     (Circuit.cnot_count optimized <= 10)
 
 (* The FT backend must reproduce the reference implementation kept in
-   [Ft_backend_ref] gate for gate, with the same rotation trace, in
-   every mode. *)
+   [Ft_backend_ref] code for code (angles to the bit, through
+   [Emit_ref.flat]), with the same rotation trace, in every mode. *)
 let ft_matches_ref name layers =
   let n_qubits =
     match layers with
@@ -514,8 +515,8 @@ let ft_matches_ref name layers =
     | [] -> 1
   in
   let summary (r : Emit.result) =
-    ( Circuit.gates r.circuit,
-      List.map (fun (s, t) -> Pauli_string.to_string s, t) r.rotations )
+    ( Emit_ref.flat r.circuit,
+      List.map (fun (s, t) -> Pauli_string.to_string s, Int64.bits_of_float t) r.rotations )
   in
   List.iter
     (fun (mname, mode) ->
@@ -640,12 +641,205 @@ let test_emit_angle () =
   Alcotest.(check (float 1e-12)) "theta = 2wt" 0.3
     (Emit.angle (Block.fixed 0.5) 0.3)
 
+(* An order must hold each qubit of the support once: a repeated, a
+   missing, an off-support or an out-of-range qubit is rejected with
+   the one message, and every permutation of the support is accepted. *)
 let test_emit_chain_validation () =
-  let b = Circuit.Builder.create 3 in
-  Alcotest.check_raises "order must match support"
+  let p = Pauli_string.of_string "ZXYI" in
+  let rejects name order =
+    Alcotest.check_raises name
+      (Invalid_argument "Emit.emit_chain: order must enumerate the support")
+      (fun () -> Emit.emit_chain (Circuit.Builder.create 4) p ~order ~theta:0.1)
+  in
+  rejects "duplicate qubit" [| 1; 2; 2 |];
+  rejects "duplicate in place of a support qubit" [| 1; 2; 1 |];
+  rejects "missing qubit" [| 1; 2 |];
+  rejects "qubit outside the support" [| 0; 1; 2 |];
+  rejects "outside the support, right length" [| 0; 2; 3 |];
+  rejects "qubit out of range" [| 1; 2; 4 |];
+  rejects "negative qubit" [| -1; 1; 2 |];
+  let wide = Pauli_string.of_support 130 [ 3, Pauli.Z; 70, Pauli.X; 129, Pauli.Y ] in
+  Alcotest.check_raises "duplicate across words"
     (Invalid_argument "Emit.emit_chain: order must enumerate the support")
-    (fun () ->
-      Emit.emit_chain b (Pauli_string.of_string "ZZI") ~order:[ 0; 1 ] ~theta:0.1)
+    (fun () -> Emit.emit_chain (Circuit.Builder.create 130) wide ~order:[| 3; 70; 70 |] ~theta:0.1);
+  List.iter
+    (fun order ->
+      let b = Circuit.Builder.create 4 and r = Emit_ref.Builder.create 4 in
+      Emit.emit_chain b p ~order ~theta:0.1;
+      Emit_ref.emit_chain r p ~order:(Array.to_list order) ~theta:0.1;
+      check "permutation accepted, same gates" true
+        (Emit_ref.same_circuit (Circuit.Builder.to_circuit b) (Emit_ref.Builder.to_circuit r)))
+    [ [| 1; 2; 3 |]; [| 3; 1; 2 |]; [| 2; 3; 1 |] ]
+
+(* Coarse allocation guard on FT emission: lowering every string of a
+   fixed 64-qubit program (two words per plane) through [emit_chain]
+   into one builder allocates fewer minor words than the gates it
+   emits — the gates live in the builder's flat buffers, and the order
+   check needs one small bitmask per string.  The orders are built
+   before the measured loop, as [Ft_backend] builds them before its. *)
+let test_ft_emission_allocation () =
+  let prog = Ph_benchmarks.Uccsd.ansatz ~seed:6 ~max_singles:150 ~max_doubles:150 ~n_qubits:64 () in
+  let terms =
+    List.concat_map
+      (fun blk ->
+        List.map
+          (fun (t : Pauli_term.t) ->
+            t.str, Array.of_list (List.rev (Pauli_string.support t.str)), Emit.angle (Block.param blk) t.coeff)
+          (Block.terms blk))
+      (Program.blocks prog)
+  in
+  let emit () =
+    let b = Circuit.Builder.create (Program.n_qubits prog) in
+    List.iter (fun (p, order, theta) -> Emit.emit_chain b p ~order ~theta) terms;
+    b
+  in
+  ignore (emit ());
+  let w0 = Gc.minor_words () in
+  let b = emit () in
+  let words = Gc.minor_words () -. w0 in
+  let gates = Circuit.Builder.length b in
+  check
+    (Printf.sprintf "%.0f minor words < %d gates" words gates)
+    true
+    (gates > 50_000 && words < float_of_int gates)
+
+(* --- Emission against the boxed oracle ([Emit_ref]) --- *)
+
+(* The Phoenix FT emission of [Ph_opt.Phoenix_backend], through the
+   reference FT backend and the boxed builder. *)
+let phoenix_ft_ref ~n_qubits (pass : Ph_opt.Pass.t) =
+  let module Tbl = Hashtbl.Make (Pauli_string) in
+  let builder = Emit_ref.Builder.create n_qubits in
+  let rotations = ref [] in
+  List.iter
+    (fun (g : Ph_opt.Pass.group) ->
+      let layers =
+        List.filter_map
+          (fun b ->
+            if List.exists (fun (t : Pauli_term.t) -> not (Pauli_string.is_identity t.str)) (Block.terms b)
+            then Some (Layer.of_block b)
+            else None)
+          g.Ph_opt.Pass.blocks
+      in
+      if layers <> [] then begin
+        let origin = Tbl.create 16 in
+        List.iter (fun (orig, diag, sign) -> Tbl.replace origin diag (orig, sign)) g.Ph_opt.Pass.rows;
+        Emit_ref.Builder.add_list builder g.Ph_opt.Pass.clifford;
+        let r = Ft_backend_ref.synthesize ~n_qubits layers in
+        Emit_ref.Builder.append builder r.Emit.circuit;
+        List.iter
+          (fun (diag, theta) ->
+            let orig, sign = Tbl.find origin diag in
+            rotations := (orig, sign *. theta) :: !rotations)
+          r.Emit.rotations;
+        List.iter (fun gate -> Emit_ref.Builder.add builder (Gate.dagger gate)) (List.rev g.Ph_opt.Pass.clifford)
+      end)
+    pass.Ph_opt.Pass.groups;
+  { Emit.circuit = Emit_ref.Builder.to_circuit builder; rotations = List.rev !rotations }
+
+(* [Ion_trap.synthesize] through the reference FT backend and a boxed
+   native lowering (the peephole between them has its own oracle,
+   [Peephole_ref], in test_gatelevel). *)
+let ion_trap_ref ~n_qubits layers =
+  let r = Ft_backend_ref.synthesize ~n_qubits layers in
+  let optimize = Peephole.optimize ?window:None ?max_rounds:None in
+  let half_pi = Float.pi /. 2. in
+  let lower_cnot b c t =
+    Emit_ref.Builder.add_list b
+      [ Gate.Ry (half_pi, c); Gate.Rxx (half_pi, c, t); Gate.Ry (-.half_pi, c);
+        Gate.Rx (-.half_pi, t); Gate.Sdg c ]
+  in
+  let cleaned = optimize r.Emit.circuit in
+  let b = Emit_ref.Builder.create (Circuit.n_qubits cleaned) in
+  Array.iter
+    (fun g ->
+      match g with
+      | Gate.Cnot (c, t) -> lower_cnot b c t
+      | Gate.Swap (x, y) ->
+        lower_cnot b x y;
+        lower_cnot b y x;
+        lower_cnot b x y
+      | g -> Emit_ref.Builder.add b g)
+    (Circuit.gates cleaned);
+  { r with Emit.circuit = optimize (Emit_ref.Builder.to_circuit b) }
+
+let same_result what (got : Emit.result) (want : Emit.result) =
+  let trace (r : Emit.result) =
+    List.map (fun (s, t) -> Pauli_string.to_string s, Int64.bits_of_float t) r.rotations
+  in
+  check (what ^ " matches the boxed oracle") true
+    (Emit_ref.same_circuit got.circuit want.circuit && trace got = trace want)
+
+let phoenix_ft_matches_ref name prog =
+  let n_qubits = Program.n_qubits prog in
+  let pass = Ph_opt.Pass.run prog in
+  same_result (name ^ "/phoenix-ft")
+    (Ph_opt.Phoenix_backend.synthesize_ft ~n_qubits pass)
+    (phoenix_ft_ref ~n_qubits pass)
+
+(* Phoenix on Manhattan: the routed reference circuit, trace and
+   layouts. *)
+let phoenix_sc_matches_ref name prog =
+  let n_qubits = Program.n_qubits prog and coupling = Devices.manhattan in
+  let pass = Ph_opt.Pass.run prog in
+  let got = Ph_opt.Phoenix_backend.synthesize_sc ~coupling ~n_qubits pass in
+  let want = phoenix_ft_ref ~n_qubits pass in
+  let routed = Ph_baselines.Router.route ~coupling want.Emit.circuit in
+  same_result (name ^ "/phoenix-sc")
+    { Emit.circuit = got.Sc_backend.circuit; rotations = got.Sc_backend.rotations }
+    { want with Emit.circuit = routed.Ph_baselines.Router.circuit };
+  let layouts initial final = Layout.to_array initial, Layout.to_array final in
+  check (name ^ "/phoenix-sc layouts") true
+    (layouts got.Sc_backend.initial_layout got.Sc_backend.final_layout
+    = layouts routed.Ph_baselines.Router.initial_layout routed.Ph_baselines.Router.final_layout)
+
+let ion_trap_matches_ref name prog =
+  let n_qubits = Program.n_qubits prog in
+  let layers = Depth_oriented.schedule prog in
+  same_result (name ^ "/ion-trap") (Ion_trap.synthesize ~n_qubits layers)
+    (ion_trap_ref ~n_qubits layers)
+
+(* Table 2: SC programs under the SC backend and phoenix on Manhattan,
+   FT programs under phoenix FT and the ion-trap lowering (the FT modes
+   are "ft 6"). *)
+let test_emit_matches_ref_table2 () =
+  List.iter
+    (fun (b : Ph_benchmarks.Suite.t) ->
+      let name = b.Ph_benchmarks.Suite.name and prog = b.Ph_benchmarks.Suite.generate () in
+      match b.Ph_benchmarks.Suite.backend with
+      | Ph_benchmarks.Suite.SC ->
+        ignore (sc_matches_ref ~coupling:Devices.manhattan name prog);
+        phoenix_sc_matches_ref name prog
+      | Ph_benchmarks.Suite.FT ->
+        phoenix_ft_matches_ref name prog;
+        ion_trap_matches_ref name prog)
+    (Ph_benchmarks.Suite.all ())
+
+(* The scale suite (64–256 qubits): chain mode under DO, and phoenix
+   FT. *)
+let test_emit_matches_ref_scale () =
+  List.iter
+    (fun (b : Ph_benchmarks.Suite.t) ->
+      let name = b.Ph_benchmarks.Suite.name and prog = b.Ph_benchmarks.Suite.generate () in
+      let n_qubits = Program.n_qubits prog and layers = Depth_oriented.schedule prog in
+      same_result (name ^ "/chain")
+        (Ft_backend.synthesize ~n_qubits layers)
+        (Ft_backend_ref.synthesize ~n_qubits layers);
+      phoenix_ft_matches_ref name prog)
+    (Ph_benchmarks.Suite.scale ())
+
+let test_emit_matches_ref_fuzz () =
+  let rand = Random.State.make [| 2718 |] in
+  for case = 1 to 120 do
+    let prog = ft_fuzz_program rand case in
+    let what = Printf.sprintf "fuzz case %d (%dq)" case (Program.n_qubits prog) in
+    phoenix_ft_matches_ref what prog;
+    ion_trap_matches_ref what prog;
+    if Program.n_qubits prog <= Coupling.n_qubits Devices.manhattan then begin
+      ignore (sc_matches_ref ~coupling:Devices.manhattan what prog);
+      phoenix_sc_matches_ref what prog
+    end
+  done
 
 let () =
   Alcotest.run "synthesis"
@@ -701,5 +895,13 @@ let () =
         [
           Alcotest.test_case "angle convention" `Quick test_emit_angle;
           Alcotest.test_case "chain validation" `Quick test_emit_chain_validation;
+          Alcotest.test_case "FT emission allocates less than a word per gate" `Quick
+            test_ft_emission_allocation;
+          Alcotest.test_case "matches boxed oracle on table 2" `Quick
+            test_emit_matches_ref_table2;
+          Alcotest.test_case "matches boxed oracle on the scale suite" `Quick
+            test_emit_matches_ref_scale;
+          Alcotest.test_case "matches boxed oracle on a fuzz sweep" `Quick
+            test_emit_matches_ref_fuzz;
         ] );
     ]
